@@ -272,23 +272,8 @@ func BenchmarkMonitorEnterExit(b *testing.B) {
 }
 
 // BenchmarkContextSwitch measures a scheduler round trip between two
-// threads.
-func BenchmarkContextSwitch(b *testing.B) {
-	s := sched.New(sched.Config{Quantum: 1})
-	mk := func(name string) {
-		s.Spawn(name, sched.NormPriority, func(th *sched.Thread) {
-			for i := 0; i < b.N; i++ {
-				th.Yield()
-			}
-		})
-	}
-	mk("a")
-	mk("b")
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
+// threads (body in internal/bench).
+func BenchmarkContextSwitch(b *testing.B) { bench.ContextSwitchBench(b) }
 
 // ---------------------------------------------------------------------------
 // Ablation benches (design choices called out in DESIGN.md).

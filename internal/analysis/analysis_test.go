@@ -331,6 +331,49 @@ method caller locals 1 {
 	}
 }
 
+// TestElisionSkipsVolatileTargets: a store to a volatile static or to a
+// volatile field index is never elidable, even outside every section and on
+// a fresh receiver, because its barrier is the volatile write's release.
+func TestElisionSkipsVolatileTargets(t *testing.T) {
+	f := analyze(t, `
+class Box {
+    v volatile
+    w
+}
+static pub volatile
+static plain
+method main locals 1 {
+    newobj Box
+    store 0
+    load 0
+    const 1
+    putfield Box.v
+    load 0
+    const 2
+    putfield Box.w
+    const 3
+    putstatic pub
+    const 4
+    putstatic plain
+    return
+}
+`)
+	if f.TotalStores != 4 || f.ElidableStores != 2 {
+		t.Fatalf("counts = total %d elidable %d, want 4 and 2", f.TotalStores, f.ElidableStores)
+	}
+	for pc, want := range map[int]bool{4: false, 7: true, 9: false, 11: true} {
+		if got := f.ElidableStore("main", pc); got != want {
+			t.Errorf("ElidableStore(main, %d) = %v, want %v", pc, got, want)
+		}
+		if got := f.CertAt("main", pc, CertElideBarrier) != nil; got != want {
+			t.Errorf("elide-barrier certificate at main@%d = %v, want %v", pc, got, want)
+		}
+	}
+	if err := f.VerifyCertificates(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestElisionFreshInSection: a store to an object allocated inside the
 // section is elidable; a store to an object allocated before the enter is
 // not.

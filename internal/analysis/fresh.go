@@ -268,8 +268,11 @@ func (f *Facts) transfer(mi *methodInfo, pc int, in bytecode.Instr, st *freshSta
 	return true
 }
 
-// computeElision classifies every reachable store instruction.
+// computeElision classifies every reachable store instruction. A store to a
+// volatile target is never elidable: its barrier is the volatile write's
+// release, which a raw store would drop.
 func (f *Facts) computeElision() {
+	vol := f.volatileFieldIndices()
 	for _, m := range f.prog.Methods {
 		mi := f.methods[m.Name]
 		var fresh []*freshState
@@ -290,6 +293,9 @@ func (f *Facts) computeElision() {
 				continue // unreachable
 			}
 			f.TotalStores++
+			if f.volatileStore(in, vol) {
+				continue
+			}
 			pos := Pos{m.Name, pc}
 			if !mi.held[pc] && !mi.mayRunHeld && !m.Synchronized {
 				f.neverHeld[pos] = true
@@ -316,4 +322,17 @@ func (f *Facts) computeElision() {
 			}
 		}
 	}
+}
+
+// volatileStore reports whether the store in writes a volatile static or a
+// field index that some class declares volatile.
+func (f *Facts) volatileStore(in bytecode.Instr, vol map[int]string) bool {
+	switch in.Op {
+	case bytecode.PUTSTATIC:
+		return f.volatileStatic(in.A)
+	case bytecode.PUTFIELD:
+		_, ok := vol[in.A]
+		return ok
+	}
+	return false
 }

@@ -237,7 +237,7 @@ func (f *Facts) scanTrigger(s *Section, m *bytecode.Method, pc int, vol map[int]
 	case bytecode.NATIVE:
 		s.Reasons = append(s.Reasons, Reason{Kind: "native-call", Pos: Pos{m.Name, pc}, Detail: in.S})
 	case bytecode.GETSTATIC:
-		if in.A >= 0 && in.A < len(f.prog.Statics) && f.prog.Statics[in.A].Volatile {
+		if f.volatileStatic(in.A) {
 			s.Reasons = append(s.Reasons, Reason{Kind: "volatile-read", Pos: Pos{m.Name, pc}, Detail: f.prog.Statics[in.A].Name})
 		}
 	case bytecode.GETFIELD:
@@ -250,6 +250,11 @@ func (f *Facts) scanTrigger(s *Section, m *bytecode.Method, pc int, vol map[int]
 	case bytecode.WAIT:
 		s.Reasons = append(s.Reasons, Reason{Kind: "nested-wait", Pos: Pos{m.Name, pc}})
 	}
+}
+
+// volatileStatic reports whether idx names a volatile static.
+func (f *Facts) volatileStatic(idx int) bool {
+	return idx >= 0 && idx < len(f.prog.Statics) && f.prog.Statics[idx].Volatile
 }
 
 // volatileFieldIndices maps field index → "Class.field" for every index at

@@ -342,7 +342,7 @@ func (f *Facts) checkTrigger(r Reason) error {
 	case "volatile-read":
 		switch in.Op {
 		case bytecode.GETSTATIC:
-			valid = in.A >= 0 && in.A < len(f.prog.Statics) && f.prog.Statics[in.A].Volatile
+			valid = f.volatileStatic(in.A)
 		case bytecode.GETFIELD:
 			_, valid = f.volatileFieldIndices()[in.A]
 		}

@@ -129,9 +129,6 @@ func (f *Facts) computeRaces() {
 		}
 		return fmt.Sprintf("static:#%d", idx)
 	}
-	staticVol := func(idx int) bool {
-		return idx >= 0 && idx < len(f.prog.Statics) && f.prog.Statics[idx].Volatile
-	}
 
 	for _, m := range f.prog.Methods {
 		threads := reach[m.Name]
@@ -164,12 +161,12 @@ func (f *Facts) computeRaces() {
 			)
 			switch in.Op {
 			case bytecode.GETSTATIC:
-				slot, vol = staticSlot(in.A), staticVol(in.A)
+				slot, vol = staticSlot(in.A), f.volatileStatic(in.A)
 			case bytecode.PUTSTATIC:
-				slot, write, vol = staticSlot(in.A), true, staticVol(in.A)
+				slot, write, vol = staticSlot(in.A), true, f.volatileStatic(in.A)
 			case bytecode.PUTSTATICRAW:
 				slot, write = staticSlot(in.A), true
-				if staticVol(in.A) {
+				if f.volatileStatic(in.A) {
 					bypass(VolatileBypass{Slot: slot, Kind: "raw-store", Pos: pos})
 				}
 			case bytecode.GETFIELD:

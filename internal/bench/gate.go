@@ -27,19 +27,20 @@ type KeyBench struct {
 }
 
 // KeyBenches returns the ns/op series the regression gate guards: the
-// write-barrier fast paths, the flight recorder's steady-state append,
-// the critical-path DAG build over a recorded cell stream, the
-// compact lock word's uncontended operations (including the "confined"
-// charge-only no-op a certified whole-monitor elision compiles to), the
-// ConfinedMonitorEnterExit off/on pair the escape analysis buys end to
-// end, and the execution-tier dispatch comparison. The
-// "nonrevocable" monitor variant is recorded in reports but NOT gated:
-// it allocates per operation, so GC timing swings it far past any
-// useful threshold on shared CI machines.
+// write-barrier fast paths, the scheduler's context-switch round trip, the
+// flight recorder's steady-state append, the critical-path DAG build over
+// a recorded cell stream, the compact lock word's uncontended operations
+// (including the "confined" charge-only no-op a certified whole-monitor
+// elision compiles to), the ConfinedMonitorEnterExit off/on pair the
+// escape analysis buys end to end, and the execution-tier dispatch
+// comparison. The "nonrevocable" monitor variant is recorded in reports
+// but NOT gated: it allocates per operation, so GC timing swings it far
+// past any useful threshold on shared CI machines.
 func KeyBenches() []KeyBench {
 	kb := []KeyBench{
 		{"WriteBarrier", WriteBarrierBench},
 		{"ElidedWriteBarrier", ElidedWriteBarrierBench},
+		{"ContextSwitch", ContextSwitchBench},
 		{"FlightRecorderAppend", FlightRecorderAppendBench},
 		{"CritPathBuild", CritPathBuildBench},
 	}

@@ -132,3 +132,20 @@ func RollbackBench(b *testing.B) {
 		b.Fatalf("only %d rollbacks in %d iterations", got, b.N)
 	}
 }
+
+// ContextSwitchBench measures the scheduler hand-off: two threads yield to
+// each other b.N times each, so one op is a round trip of two dispatches.
+func ContextSwitchBench(b *testing.B) {
+	s := sched.New(sched.Config{Quantum: 1})
+	for _, name := range []string{"a", "b"} {
+		s.Spawn(name, sched.NormPriority, func(th *sched.Thread) {
+			for i := 0; i < b.N; i++ {
+				th.Yield()
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -72,9 +72,9 @@ func measure(name string, body func(b *testing.B)) BenchResult {
 	}
 }
 
-// RunReport executes the benchmark suite: the three barrier/rollback
-// micro-benchmarks, all twelve figure panels at ScaleSmall, the observed
-// latency cells (RunLatency), and the profiler overhead pairs
+// RunReport executes the benchmark suite: the barrier/rollback and
+// context-switch micro-benchmarks, all twelve figure panels at ScaleSmall,
+// the observed latency cells (RunLatency), and the profiler overhead pairs
 // (RunProfiled). progress and latProgress, if non-nil, are called with
 // each finished result.
 func RunReport(label, date string, progress func(BenchResult), latProgress func(LatencyResult)) (Report, error) {
@@ -95,6 +95,9 @@ func RunReport(label, date string, progress func(BenchResult), latProgress func(
 	add(measure("ReadBarrier", ReadBarrierBench))
 	add(measure("Rollback", RollbackBench))
 	add(measure("ElidedWriteBarrier", ElidedWriteBarrierBench))
+
+	// Scheduler hand-off: one round trip between two yielding threads.
+	add(measure("ContextSwitch", ContextSwitchBench))
 
 	// Flight recorder: the per-event append cost and the whole-cell
 	// off/on pair, so every report records the overhead of always-on

@@ -2,6 +2,7 @@ package causal
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/simtime"
@@ -177,22 +178,65 @@ func topTicks(m map[string]simtime.Ticks, k int) []MonitorTicks {
 
 // SiteRecorder accumulates the profiler's per-tick charge stream
 // (prof.Profiler.SetSampler) so critical work can be attributed to
-// bytecode sites after the fact. Charges are coalesced per thread when
-// contiguous at the same site, keeping memory proportional to the number
-// of site transitions rather than the number of Work calls.
+// bytecode sites after the fact. Each thread keeps a time-ordered stream of
+// 16-byte runs — start, length and an interned site id — coalesced while
+// contiguous at the same site and stored in fixed-size chunks, so growth
+// never copies a recorded run.
 type SiteRecorder struct {
-	charges map[string][]siteCharge // per thread, in time order
+	threads map[string]*siteStream
+	sites   []SiteKey           // site id → site; id 0 is unused
+	pcs     map[string]*[]int32 // per method: pc → site id (0 = not yet interned)
+	other   map[SiteKey]int32   // sites with a negative pc
+
+	// The sampler sees long stretches of one thread and one method, so the
+	// last lookup of each spares the maps on nearly every charge.
+	lastThread string
+	lastStream *siteStream
+	lastFn     string
+	lastPCs    *[]int32
 }
 
-type siteCharge struct {
-	start, end simtime.Ticks // the charged interval [start, end)
-	site       SiteKey
+// siteRun is length ticks charged to site from start on.
+type siteRun struct {
+	start  simtime.Ticks
+	length uint32
+	site   int32
+}
+
+func (c *siteRun) end() simtime.Ticks { return c.start + simtime.Ticks(c.length) }
+
+const (
+	siteChunk  = 4096           // runs per chunk
+	maxRunTick = math.MaxUint32 // longest run one record holds
+)
+
+// siteStream is one thread's runs in chunks of siteChunk; every chunk but
+// the last is full.
+type siteStream struct {
+	chunks [][]siteRun
+	n      int
+}
+
+func (s *siteStream) at(i int) *siteRun { return &s.chunks[i/siteChunk][i%siteChunk] }
+
+func (s *siteStream) push(c siteRun) {
+	if s.n%siteChunk == 0 {
+		s.chunks = append(s.chunks, make([]siteRun, 0, siteChunk))
+	}
+	last := len(s.chunks) - 1
+	s.chunks[last] = append(s.chunks[last], c)
+	s.n++
 }
 
 // NewSiteRecorder returns an empty recorder; pass its Add to
 // prof.Profiler.SetSampler.
 func NewSiteRecorder() *SiteRecorder {
-	return &SiteRecorder{charges: make(map[string][]siteCharge)}
+	return &SiteRecorder{
+		threads: make(map[string]*siteStream),
+		sites:   []SiteKey{{}},
+		pcs:     make(map[string]*[]int32),
+		other:   make(map[SiteKey]int32),
+	}
 }
 
 // Add records one charge: d ticks ending at end, attributed to (fn, pc)
@@ -201,14 +245,69 @@ func (r *SiteRecorder) Add(thread string, end, d simtime.Ticks, fn string, pc in
 	if d <= 0 {
 		return
 	}
-	key := SiteKey{Method: fn, PC: pc}
-	cs := r.charges[thread]
-	if n := len(cs); n > 0 && cs[n-1].site == key && cs[n-1].end == end-d {
-		cs[n-1].end = end
-		r.charges[thread] = cs
-		return
+	s := r.stream(thread)
+	id := r.siteID(fn, pc)
+	start := end - d
+	if s.n > 0 {
+		if c := s.at(s.n - 1); c.site == id && c.end() == start && d <= maxRunTick-simtime.Ticks(c.length) {
+			c.length += uint32(d)
+			return
+		}
 	}
-	r.charges[thread] = append(cs, siteCharge{start: end - d, end: end, site: key})
+	for d > 0 {
+		n := minT(d, maxRunTick)
+		s.push(siteRun{start: start, length: uint32(n), site: id})
+		start, d = start+n, d-n
+	}
+}
+
+// stream returns thread's run stream, creating it on first use.
+func (r *SiteRecorder) stream(thread string) *siteStream {
+	if r.lastStream != nil && thread == r.lastThread {
+		return r.lastStream
+	}
+	s := r.threads[thread]
+	if s == nil {
+		s = &siteStream{}
+		r.threads[thread] = s
+	}
+	r.lastThread, r.lastStream = thread, s
+	return s
+}
+
+// siteID interns (fn, pc), once per site, through fn's pc table.
+func (r *SiteRecorder) siteID(fn string, pc int) int32 {
+	if pc < 0 {
+		k := SiteKey{Method: fn, PC: pc}
+		id, ok := r.other[k]
+		if !ok {
+			id = r.intern(k)
+			r.other[k] = id
+		}
+		return id
+	}
+	t := r.lastPCs
+	if t == nil || fn != r.lastFn {
+		if t = r.pcs[fn]; t == nil {
+			t = new([]int32)
+			r.pcs[fn] = t
+		}
+		r.lastFn, r.lastPCs = fn, t
+	}
+	if pc >= len(*t) {
+		*t = append(*t, make([]int32, pc+1-len(*t))...)
+	}
+	id := (*t)[pc]
+	if id == 0 {
+		id = r.intern(SiteKey{Method: fn, PC: pc})
+		(*t)[pc] = id
+	}
+	return id
+}
+
+func (r *SiteRecorder) intern(k SiteKey) int32 {
+	r.sites = append(r.sites, k)
+	return int32(len(r.sites) - 1)
 }
 
 // AttachSites intersects the recorded charges with the attribution's
@@ -225,16 +324,23 @@ func (r *SiteRecorder) AttachSites(a *Attribution) {
 		}
 	}
 	for th, segs := range perThread {
-		cs := r.charges[th]
+		cs := r.threads[th]
+		if cs == nil {
+			continue
+		}
 		ci := 0
 		for _, s := range segs {
-			for ci < len(cs) && cs[ci].end <= s.Start {
+			for ci < cs.n && cs.at(ci).end() <= s.Start {
 				ci++
 			}
-			for j := ci; j < len(cs) && cs[j].start < s.End; j++ {
-				lo, hi := maxT(cs[j].start, s.Start), minT(cs[j].end, s.End)
+			for j := ci; j < cs.n; j++ {
+				c := cs.at(j)
+				if c.start >= s.End {
+					break
+				}
+				lo, hi := maxT(c.start, s.Start), minT(c.end(), s.End)
 				if hi > lo {
-					a.Sites[cs[j].site] += hi - lo
+					a.Sites[r.sites[c.site]] += hi - lo
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package causal
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -289,8 +290,8 @@ func TestSiteRecorder(t *testing.T) {
 	r.Add("T", 5, 5, "f", 3)
 	r.Add("T", 9, 4, "f", 3)
 	r.Add("T", 12, 3, "g", 1)
-	if got := len(r.charges["T"]); got != 2 {
-		t.Fatalf("charges = %d, want 2 after coalescing", got)
+	if got := r.threads["T"].n; got != 2 {
+		t.Fatalf("runs = %d, want 2 after coalescing", got)
 	}
 
 	g := mustBuild(t, []trace.Event{
@@ -305,6 +306,44 @@ func TestSiteRecorder(t *testing.T) {
 	}
 	if got := a.Sites[SiteKey{Method: "g", PC: 1}]; got != 3 {
 		t.Fatalf("site g@1 = %d, want 3", got)
+	}
+}
+
+// TestSiteRecorderChunks: runs spanning several chunks, re-visited sites,
+// a negative pc and a charge longer than one run holds all attribute
+// exactly as the plain sum of the charges.
+func TestSiteRecorderChunks(t *testing.T) {
+	r := NewSiteRecorder()
+	want := make(map[SiteKey]simtime.Ticks)
+	var now simtime.Ticks
+	add := func(d simtime.Ticks, fn string, pc int) {
+		now += d
+		r.Add("T", now, d, fn, pc)
+		want[SiteKey{Method: fn, PC: pc}] += d
+	}
+	for i := 0; i < 3*siteChunk; i++ {
+		add(simtime.Ticks(1+i%3), "loop", i%7)
+		if i%5 == 0 {
+			add(2, "callee", -1)
+		}
+	}
+	add(maxRunTick+5, "long", 0)
+	if n := r.threads["T"].n; n <= 2*siteChunk {
+		t.Fatalf("runs = %d, want more than two chunks' worth", n)
+	}
+	if len(r.sites) != 7+1+1+1 {
+		t.Fatalf("interned %d sites, want 9 plus the unused id", len(r.sites))
+	}
+
+	g := mustBuild(t, []trace.Event{
+		ev(0, trace.ThreadStart, "T", "", "", 5),
+		ev(0, trace.ContextSwitch, "T", "", "", 0),
+		ev(int64(now), trace.ThreadEnd, "T", "", "", 0),
+	})
+	a := mustPath(t, g)
+	r.AttachSites(a)
+	if !reflect.DeepEqual(a.Sites, want) {
+		t.Fatalf("sites = %v, want %v", a.Sites, want)
 	}
 }
 

@@ -274,6 +274,7 @@ type Runtime struct {
 	hp     *heap.Heap
 	spec   *jmm.Table
 	tracer trace.Sink
+	traced bool // tracer is not trace.Discard: events are worth building
 
 	tasks    map[int]*Task
 	monitors []*monitor.Monitor
@@ -301,6 +302,7 @@ func New(cfg Config) *Runtime {
 		hp:      hp,
 		spec:    jmm.NewTable(hp),
 		tracer:  cfg.Tracer,
+		traced:  cfg.Tracer != trace.Discard,
 		tasks:   make(map[int]*Task),
 		objMons: make(map[*heap.Object]*monitor.Monitor),
 		waiting: make(map[*Task]*monitor.Monitor),
@@ -872,8 +874,10 @@ func (t *Task) Synchronized(m *monitor.Monitor, body func()) {
 		}
 		t.reexecutions++
 		t.rt.stats.Reexecutions++
-		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Reexecution, Thread: t.Name(), Object: m.Name(),
-			N: int64(f.attempts + 1), Detail: fmt.Sprintf("attempt=%d", f.attempts+1)})
+		if t.rt.traced {
+			t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Reexecution, Thread: t.Name(), Object: m.Name(),
+				N: int64(f.attempts + 1), Detail: fmt.Sprintf("attempt=%d", f.attempts+1)})
+		}
 		if sig.reason == "deadlock" {
 			backoff := t.rt.cfg.DeadlockBackoff
 			if backoff <= 0 {
@@ -937,8 +941,10 @@ func (t *Task) enter(m *monitor.Monitor) {
 		ownerTask, _ := owner.Data.(*Task)
 		if t.th.Priority() > m.OwnerPriority() {
 			rt.stats.Inversions++
-			rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.InversionDetected, Thread: t.Name(), Object: m.Name(), Other: owner.Name(),
-				Detail: fmt.Sprintf("owner=%s prio=%d<%d", owner.Name(), m.OwnerPriority(), t.th.Priority())})
+			if rt.traced {
+				rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.InversionDetected, Thread: t.Name(), Object: m.Name(), Other: owner.Name(),
+					Detail: fmt.Sprintf("owner=%s prio=%d<%d", owner.Name(), m.OwnerPriority(), t.th.Priority())})
+			}
 			if rt.cfg.Mode == Revocation && (rt.cfg.Detect == DetectOnAcquire || rt.cfg.Detect == DetectBoth) && ownerTask != nil {
 				if !rt.requestRevocation(ownerTask, m, "priority-inversion", t.Name()) && rt.cfg.InheritOnDenied {
 					rt.boostChain(ownerTask, t.th.Priority())
@@ -973,8 +979,10 @@ func (t *Task) enter(m *monitor.Monitor) {
 			if req := t.revokeReq; req != nil && req.mon == m && req.monGen == m.Gen() && t.firstFrameOf(m) < 0 {
 				t.revokeReq = nil
 				rt.stats.PreemptedGrants++
-				rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.Rollback, Thread: t.Name(), Object: m.Name(), Other: req.requester,
-					Detail: fmt.Sprintf("reason=%s undone=0 (pending grant)", req.reason)})
+				if rt.traced {
+					rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.Rollback, Thread: t.Name(), Object: m.Name(), Other: req.requester,
+						Detail: fmt.Sprintf("reason=%s undone=0 (pending grant)", req.reason)})
+				}
 				m.ForceRelease(t.th)
 				continue
 			}
@@ -1021,7 +1029,9 @@ func (t *Task) enter(m *monitor.Monitor) {
 	}
 	// N carries the undo-log depth so trace consumers (the Perfetto counter
 	// tracks) can plot speculative state without replaying barrier logic.
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d", len(t.frames))})
+	if rt.traced {
+		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d", len(t.frames))})
+	}
 }
 
 // enterElided pushes a what-if frame for a monitor running under the
@@ -1062,7 +1072,9 @@ func (t *Task) enterElided(m *monitor.Monitor) {
 	if t.tp != nil {
 		t.tp.SectionEnter()
 	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d elided", len(t.frames))})
+	if rt.traced {
+		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d elided", len(t.frames))})
+	}
 }
 
 // commitTop exits the top frame normally. Updates become permanent only
@@ -1142,8 +1154,10 @@ func (rt *Runtime) requestRevocation(victim *Task, m *monitor.Monitor, reason, r
 		victim.revokeReq = &revocation{mon: m, monGen: m.Gen(), requester: requester, reason: reason}
 		rt.stats.RevocationRequests++
 		rt.sch.Expedite(victim.th)
-		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(),
-			Other: requester, Detail: fmt.Sprintf("reason=%s requester=%s pending-grant", reason, requester)})
+		if rt.traced {
+			rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(),
+				Other: requester, Detail: fmt.Sprintf("reason=%s requester=%s pending-grant", reason, requester)})
+		}
 		return true
 	}
 	if nr, why := m.NonRevocable(); nr {
@@ -1164,8 +1178,10 @@ func (rt *Runtime) requestRevocation(victim *Task, m *monitor.Monitor, reason, r
 	}
 	victim.revokeReq = req
 	rt.stats.RevocationRequests++
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(),
-		Other: requester, Detail: fmt.Sprintf("reason=%s requester=%s", reason, requester)})
+	if rt.traced {
+		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.RevokeRequested, Thread: victim.Name(), Object: m.Name(),
+			Other: requester, Detail: fmt.Sprintf("reason=%s requester=%s", reason, requester)})
+	}
 	// A blocked or sleeping victim cannot reach a yield point on its own:
 	// interrupt it so the request is delivered promptly.
 	switch victim.th.State() {
@@ -1268,9 +1284,11 @@ func (t *Task) deliverRevocation() {
 	t.rollbacks++
 	rt.stats.Rollbacks++
 	rt.stats.WastedTicks += wasted
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.Rollback, Thread: t.Name(), Object: req.mon.Name(),
-		Other: req.requester, N: int64(wasted),
-		Detail: fmt.Sprintf("reason=%s undone=%d requester=%s", req.reason, undone, req.requester)})
+	if rt.traced {
+		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.Rollback, Thread: t.Name(), Object: req.mon.Name(),
+			Other: req.requester, N: int64(wasted),
+			Detail: fmt.Sprintf("reason=%s undone=%d requester=%s", req.reason, undone, req.requester)})
+	}
 	// 3. Transfer control back to the start of the section. frames are
 	// popped by the unwinding Synchronized activations; record the attempt
 	// count so retries can back off.
@@ -1387,11 +1405,7 @@ func (rt *Runtime) resolveDeadlock(t *Task, m *monitor.Monitor) {
 		return
 	}
 	rt.stats.DeadlocksDetected++
-	names := make([]string, len(cycle))
-	for i, c := range cycle {
-		names[i] = fmt.Sprintf("%s->%s", c.task.Name(), c.holds.Name())
-	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockDetected, Thread: t.Name(), Detail: fmt.Sprintf("%v", names)})
+	rt.emitDeadlockDetected(t, cycle)
 
 	victim := rt.chooseVictim(cycle, t)
 	if victim == nil {
@@ -1402,6 +1416,18 @@ func (rt *Runtime) resolveDeadlock(t *Task, m *monitor.Monitor) {
 		rt.stats.DeadlocksBroken++
 		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockBroken, Thread: victim.task.Name(), Object: victim.holds.Name()})
 	}
+}
+
+// emitDeadlockDetected traces a waits-for cycle closed by t.
+func (rt *Runtime) emitDeadlockDetected(t *Task, cycle []cycleEdge) {
+	if !rt.traced {
+		return
+	}
+	names := make([]string, len(cycle))
+	for i, c := range cycle {
+		names[i] = fmt.Sprintf("%s->%s", c.task.Name(), c.holds.Name())
+	}
+	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockDetected, Thread: t.Name(), Detail: fmt.Sprintf("%v", names)})
 }
 
 // cycleEdge pairs a cycle member with the monitor it holds that its
@@ -1445,11 +1471,7 @@ func (rt *Runtime) observeWFG(t *Task, m *monitor.Monitor) {
 		return
 	}
 	rt.stats.DeadlocksDetected++
-	names := make([]string, len(cycle))
-	for i, c := range cycle {
-		names[i] = fmt.Sprintf("%s->%s", c.task.Name(), c.holds.Name())
-	}
-	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.DeadlockDetected, Thread: t.Name(), Detail: fmt.Sprintf("%v", names)})
+	rt.emitDeadlockDetected(t, cycle)
 
 	// cycle[i].task holds cycle[i].holds and waits for cycle[i+1].holds;
 	// the last member is t itself, closing the ring on cycle[0].holds = m.

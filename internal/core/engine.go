@@ -227,8 +227,10 @@ func (t *Task) EngineUnwind(info RevokeInfo) int {
 	t.clampNonRevBelow()
 	t.reexecutions++
 	t.rt.stats.Reexecutions++
-	t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Reexecution, Thread: t.Name(), Object: f.mon.Name(),
-		N: int64(f.attempts + 1), Detail: fmt.Sprintf("attempt=%d engine", f.attempts+1)})
+	if t.rt.traced {
+		t.rt.tracer.Emit(trace.Event{At: t.rt.sch.Now(), Kind: trace.Reexecution, Thread: t.Name(), Object: f.mon.Name(),
+			N: int64(f.attempts + 1), Detail: fmt.Sprintf("attempt=%d engine", f.attempts+1)})
+	}
 	if info.Reason == "deadlock" {
 		backoff := t.rt.cfg.DeadlockBackoff
 		if backoff <= 0 {

@@ -2,8 +2,10 @@
 // runs on: a deterministic, uniprocessor, pseudo-preemptive scheduler in the
 // style of the Jikes RVM virtual processor the paper targets.
 //
-// Every simulated thread is backed by a goroutine, but exactly one thread
-// runs at a time; control is handed off over unbuffered channels. Threads
+// Every simulated thread body runs as a coroutine (iter.Pull), and exactly
+// one thread runs at a time: dispatch switches straight into the body and a
+// yield point switches straight back, the green-thread context switch of a
+// Jikes RVM virtual processor with no goroutine wake-up in between. Threads
 // give up the processor only at yield points (§3.1: "thread context-switches
 // can happen only at pre-specified yield points inserted by the compiler"),
 // which the runtime places at every shared-data operation, loop back-edge
@@ -155,12 +157,7 @@ const DefaultQuantum simtime.Ticks = 1000
 // error surfaces only if resolution is disabled or impossible.
 var ErrDeadlock = errors.New("sched: all live threads are blocked")
 
-// resumeMsg is sent scheduler→thread to hand over the processor.
-type resumeMsg struct {
-	kill bool
-}
-
-// killSignal is panicked inside a thread goroutine to terminate it during
+// killSignal is panicked inside a parked thread body to unwind it during
 // Drain. It never escapes the package.
 type killSignal struct{}
 
@@ -171,10 +168,14 @@ type Thread struct {
 	prio Priority
 	base Priority // priority before any inheritance boost
 
-	state  State
-	sch    *Scheduler
-	body   func(*Thread)
-	resume chan resumeMsg
+	state State
+	sch   *Scheduler
+	body  func(*Thread)
+	// The body's coroutine: resume runs it until it parks or ends; stop
+	// ends it while parked or before it starts.
+	resume func() (struct{}, bool)
+	park   func(struct{}) bool
+	stop   func()
 
 	// Accounting.
 	cpu       simtime.Ticks // total ticks charged by this thread
@@ -230,8 +231,8 @@ type Scheduler struct {
 	cfg     Config
 	clock   *simtime.Clock
 	tracer  trace.Sink
+	traced  bool // tracer is not trace.Discard: events are worth building
 	rng     *rand.Rand
-	back    chan *Thread
 	current *Thread
 
 	threads []*Thread // all spawned threads, in spawn order
@@ -281,8 +282,8 @@ func New(cfg Config) *Scheduler {
 		cfg:    cfg,
 		clock:  simtime.NewClock(),
 		tracer: cfg.Tracer,
+		traced: cfg.Tracer != trace.Discard,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		back:   make(chan *Thread),
 	}
 }
 
@@ -313,53 +314,52 @@ func (s *Scheduler) ContextSwitches() int64 { return s.switchCount }
 func (s *Scheduler) Threads() []*Thread { return s.threads }
 
 // Spawn creates a new thread. It may be called before Run or from a running
-// thread. The body runs on its own goroutine but only when dispatched.
+// thread. The body runs as a coroutine, and only while dispatched.
 func (s *Scheduler) Spawn(name string, prio Priority, body func(*Thread)) *Thread {
 	if prio < MinPriority || prio > MaxPriority {
 		panic(fmt.Sprintf("sched: priority %d out of range [%d,%d]", prio, MinPriority, MaxPriority))
 	}
 	t := &Thread{
-		id:     len(s.threads),
-		name:   name,
-		prio:   prio,
-		base:   prio,
-		state:  StateNew,
-		sch:    s,
-		body:   body,
-		resume: make(chan resumeMsg),
+		id:    len(s.threads),
+		name:  name,
+		prio:  prio,
+		base:  prio,
+		state: StateNew,
+		sch:   s,
+		body:  body,
 	}
+	t.resume, t.stop = coroutine(t.top)
 	s.threads = append(s.threads, t)
 	s.live++
-	go t.top()
 	s.enqueue(t)
-	// Other names the spawning thread (empty for pre-Run root spawns): the
-	// happens-before edge the causal DAG (internal/causal) needs to anchor
-	// a dynamically spawned thread's start to its parent's timeline.
-	var spawner string
-	if s.current != nil {
-		spawner = s.current.name
+	if s.traced {
+		// Other names the spawning thread ("" for root spawns before Run):
+		// the edge the causal DAG (internal/causal) needs to anchor a
+		// dynamically spawned thread's start to its parent's timeline.
+		var spawner string
+		if s.current != nil {
+			spawner = s.current.name
+		}
+		s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.ThreadStart, Thread: name, Other: spawner, N: int64(prio), Detail: fmt.Sprintf("prio=%d", prio)})
 	}
-	s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.ThreadStart, Thread: name, Other: spawner, N: int64(prio), Detail: fmt.Sprintf("prio=%d", prio)})
 	return t
 }
 
-// top is the goroutine wrapper around the thread body.
-func (t *Thread) top() {
-	msg := <-t.resume
-	if msg.kill {
-		return
-	}
+// top is the coroutine wrapped around the thread body.
+func (t *Thread) top(park func(struct{}) bool) {
+	t.park = park
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isKill := r.(killSignal); isKill {
-				return // Drain: exit silently, scheduler is not listening.
+				return // Drain: end silently.
 			}
 			t.panicVal = r
 		}
 		t.state = StateDone
 		t.endedAt = t.sch.clock.Now()
-		t.sch.tracer.Emit(trace.Event{At: t.endedAt, Kind: trace.ThreadEnd, Thread: t.name})
-		t.sch.back <- t
+		if t.sch.traced {
+			t.sch.tracer.Emit(trace.Event{At: t.endedAt, Kind: trace.ThreadEnd, Thread: t.name})
+		}
 	}()
 	t.body(t)
 }
@@ -436,7 +436,9 @@ func (s *Scheduler) Run() error {
 			// Nobody runnable: jump to the next timer if one exists.
 			before := s.clock.Now()
 			if s.clock.AdvanceToNext() {
-				s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.SchedIdle, N: int64(s.clock.Now() - before)})
+				if s.traced {
+					s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.SchedIdle, N: int64(s.clock.Now() - before)})
+				}
 				if s.OnIdle != nil {
 					s.OnIdle(s.clock.Now() - before)
 				}
@@ -458,7 +460,7 @@ func (s *Scheduler) Run() error {
 	return nil
 }
 
-// dispatch hands the processor to t and waits for it to come back.
+// dispatch switches into t and returns when t parks or ends.
 func (s *Scheduler) dispatch(t *Thread) {
 	s.switchCount++
 	t.switches++
@@ -477,12 +479,13 @@ func (s *Scheduler) dispatch(t *Thread) {
 	t.sliceUsed = 0
 	t.state = StateRunning
 	s.current = t
-	// N carries the dispatch cost just paid so stream consumers (the causal
-	// DAG) can recover the previous thread's exact yield moment without
-	// knowing the scheduler configuration.
-	s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.ContextSwitch, Thread: t.name, N: int64(s.cfg.SwitchCost)})
-	t.resume <- resumeMsg{}
-	<-s.back
+	if s.traced {
+		// N carries the dispatch cost just paid so stream consumers (the
+		// causal DAG) can recover the previous thread's exact yield moment
+		// without knowing the scheduler configuration.
+		s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.ContextSwitch, Thread: t.name, N: int64(s.cfg.SwitchCost)})
+	}
+	t.resume()
 	s.current = nil
 	// A thread that yielded while runnable goes to the back of the queue.
 	if t.state == StateRunnable && !t.inQueue {
@@ -523,24 +526,20 @@ func (s *Scheduler) describeBlocked() string {
 	return strings.Join(parts, ", ")
 }
 
-// Drain force-terminates every live thread goroutine. Call it after Run
-// returns an error to avoid leaking goroutines. The scheduler is unusable
+// Drain force-terminates every live thread. Call it after Run returns an
+// error to avoid leaking the parked coroutines. The scheduler is unusable
 // afterwards.
 func (s *Scheduler) Drain() {
 	for _, t := range s.threads {
 		switch t.state {
 		case StateDone:
 			continue
-		case StateNew:
-			// Never dispatched: goroutine is parked on first resume.
-			t.resume <- resumeMsg{kill: true}
-		case StateRunnable, StateBlocked, StateSleeping:
-			// Parked inside yieldToScheduler: resume with kill, goroutine
-			// panics killSignal and exits without reporting back.
-			t.resume <- resumeMsg{kill: true}
 		case StateRunning:
 			panic("sched: Drain called while a thread is running")
 		}
+		// A never-dispatched body never starts; a parked one sees park
+		// return false and unwinds with killSignal.
+		t.stop()
 		t.state = StateDone
 	}
 	s.live = 0
@@ -609,7 +608,9 @@ func (t *Thread) Sleep(d simtime.Ticks) {
 		t.Yield()
 		return
 	}
-	t.sch.tracer.Emit(trace.Event{At: t.sch.clock.Now(), Kind: trace.Sleep, Thread: t.name, N: int64(d)})
+	if t.sch.traced {
+		t.sch.tracer.Emit(trace.Event{At: t.sch.clock.Now(), Kind: trace.Sleep, Thread: t.name, N: int64(d)})
+	}
 	t.sch.clock.ScheduleAfter(d, t)
 	t.yieldToScheduler(StateSleeping, "sleep")
 }
@@ -679,14 +680,12 @@ func (s *Scheduler) SetPriority(t *Thread, p Priority) {
 // RestorePriority resets a thread to its base (spawn-time) priority.
 func (s *Scheduler) RestorePriority(t *Thread) { s.SetPriority(t, t.base) }
 
-// yieldToScheduler transfers control to the scheduler loop and parks until
+// yieldToScheduler switches back to the scheduler loop and returns when
 // redispatched.
 func (t *Thread) yieldToScheduler(st State, reason string) {
 	t.state = st
 	t.blockReason = reason
-	t.sch.back <- t
-	msg := <-t.resume
-	if msg.kill {
+	if !t.park(struct{}{}) {
 		panic(killSignal{})
 	}
 }
@@ -718,18 +717,6 @@ func (d *deque) remove(t *Thread) {
 			copy(d.items[i:], d.items[i+1:])
 			d.items[len(d.items)-1] = nil
 			d.items = d.items[:len(d.items)-1]
-			return
-		}
-	}
-}
-
-func (d *deque) len() int { return len(d.items) }
-
-func (d *deque) moveToFront(t *Thread) {
-	for i, x := range d.items {
-		if x == t {
-			copy(d.items[1:i+1], d.items[:i])
-			d.items[0] = t
 			return
 		}
 	}
