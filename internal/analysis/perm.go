@@ -60,7 +60,7 @@ const (
 	// CertConfined certifies a whole-monitor elision site: the
 	// MONITORENTER (or a MONITOREXIT paired with it) operates on a
 	// thread-confined allocation that never escapes, never waits, and
-	// brackets exactly, so all three tiers compile the instruction to a
+	// brackets exactly, so both tiers compile the instruction to a
 	// charge-only no-op (escape.go derives the sites).
 	CertConfined CertKind = "confined-monitor"
 	// CertRaceFree certifies per-slot race freedom: no candidate race and
@@ -193,7 +193,7 @@ func (f *Facts) computePermissions() {
 }
 
 // deadSavestackPCs derives the dead-SAVESTACK obligation set of one method
-// exactly as the opt tier's elidedSavestacks does: the SAVESTACK directly
+// exactly as the compiled tier's elidedSavestacks does: the SAVESTACK directly
 // preceding a rollback region whose section is statically non-revocable.
 // On a program analyzed before the rollback rewrite there are no regions
 // and no obligations.

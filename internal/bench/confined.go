@@ -1,5 +1,5 @@
 // Whole-monitor elision benchmark: the same confined-lock loop executed
-// on the opt tier with real thin-lock monitors versus with the certified
+// on the compiled tier with real thin-lock monitors versus with the certified
 // confined enter/exit pairs compiled to charge-only no-ops. The off/on
 // delta is what the escape analysis buys per synchronized section on a
 // thread-confined lock. Lives outside _test.go for the same reason as
@@ -59,8 +59,8 @@ method main locals 2 {
 // facts (every monitorenter takes the real thin-lock path); elided=true
 // runs the rvmrun -static pipeline, whose certified confinement proof
 // compiles both halves of every pair to charge-only no-ops. Each
-// iteration is one full program run on the opt tier; the ns/op metric is
-// per monitor operation.
+// iteration is one full program run on the compiled tier; the ns/op
+// metric is per monitor operation.
 func ConfinedMonitorEnterExitBench(elided bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		prog, err := rewrite.Rewrite(bytecode.MustAssemble(confinedMonitorProgram))
@@ -83,11 +83,10 @@ func ConfinedMonitorEnterExitBench(elided bool) func(b *testing.B) {
 				Sched: sched.Config{Quantum: 1 << 40},
 			})
 			if _, err := interp.Run(rt, prog, interp.Options{
-				Rewritten:        true,
-				Tier:             interp.TierOpt,
-				OptCallThreshold: 1,
-				Facts:            facts,
-				Out:              io.Discard,
+				Rewritten: true,
+				Tier:      interp.TierThreaded,
+				Facts:     facts,
+				Out:       io.Discard,
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -53,7 +53,7 @@ func KeyBenches() []KeyBench {
 		KeyBench{"ConfinedMonitorEnterExit/on", ConfinedMonitorEnterExitBench(true)},
 	)
 	for _, p := range TierPrograms {
-		for _, tier := range []interp.Tier{interp.TierThreaded, interp.TierOpt} {
+		for _, tier := range []interp.Tier{interp.TierExec, interp.TierThreaded} {
 			kb = append(kb, KeyBench{"TierDispatch/" + p.Name + "/" + tier.String(), TierDispatchBench(p, tier)})
 		}
 	}

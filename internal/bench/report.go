@@ -122,10 +122,10 @@ func RunReport(label, date string, progress func(BenchResult), latProgress func(
 	add(measure("ConfinedMonitorEnterExit/off", ConfinedMonitorEnterExitBench(false)))
 	add(measure("ConfinedMonitorEnterExit/on", ConfinedMonitorEnterExitBench(true)))
 
-	// Execution-tier dispatch: threaded closures vs fused
-	// superinstructions on re-invoked hot methods.
+	// Execution-tier dispatch: the switch interpreter vs the compiled
+	// tier's fused code.
 	for _, p := range TierPrograms {
-		for _, tier := range []interp.Tier{interp.TierThreaded, interp.TierOpt} {
+		for _, tier := range []interp.Tier{interp.TierExec, interp.TierThreaded} {
 			add(measure("TierDispatch/"+p.Name+"/"+tier.String(), TierDispatchBench(p, tier)))
 		}
 	}

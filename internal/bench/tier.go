@@ -1,5 +1,5 @@
-// Micro-benchmark bodies for the compact lock word and the tier-3 fused
-// compiler. Like micro.go, they live outside _test.go files so the go test
+// Micro-benchmark bodies for the compact lock word and the compiled
+// tier. Like micro.go, they live outside _test.go files so the go test
 // suite (bench_test.go at the repo root) and the cmd/figures -json emitter
 // run the same code.
 package bench
@@ -18,8 +18,8 @@ import (
 // benchmarks cover: "thin" is the single-word fast path, "inflated" pins
 // the monitor on the full prioritized-queue representation
 // (Config.DisableThinLocks), "nonrevocable" goes through the core
-// engine's fused non-revocable entry — the path tier-3 compiles statically
-// proven sections to, including section-frame bookkeeping — and
+// engine's fused non-revocable entry — the path the compiled tier takes for
+// statically proven sections, including section-frame bookkeeping — and
 // "confined" is the charge-only no-op a certified thread-confined
 // enter/exit compiles to (the whole-monitor elision of the escape pass):
 // no lock word is touched at all, only the elision counter.
@@ -122,10 +122,9 @@ type TierProgram struct {
 	Src  string
 }
 
-// TierPrograms are the dispatch workloads: both re-invoke their inner
-// method often enough to cross TierOpt's default hotness threshold, so an
-// "opt" run compiles the hot code to fused superinstructions while a
-// "threaded" run dispatches closure by closure.
+// TierPrograms are the dispatch workloads: an "exec" run decodes every
+// instruction in the switch interpreter, a "threaded" run executes the
+// fused code each method is compiled to at its first activation.
 var TierPrograms = []TierProgram{
 	{
 		// A compute loop re-entered via INVOKE: straight-line arithmetic

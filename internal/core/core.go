@@ -560,13 +560,14 @@ func (t *Task) step(cost simtime.Ticks) {
 	}
 }
 
-// Step is Work specialized for a single sub-quantum charge. The fused
+// Step is Work specialized for a single sub-quantum charge. The compiled
 // execution tier calls it once per original instruction with the
 // compile-time-constant per-instruction cost, skipping Work's
-// quantum-clamping loop. The caller must guarantee cost <= the scheduler
-// quantum (checked once at compile time); under that precondition the
-// behavior is identical to Work(cost) — one tick charge, one yield point,
-// revocation delivery.
+// quantum-clamping loop and what-if scaling. The caller must guarantee
+// cost <= the scheduler quantum and that Config.Perturb has no Scale
+// entries (both checked once when the interpreter is set up); under that
+// precondition the behavior is identical to Work(cost) — one tick charge,
+// one yield point, revocation delivery.
 func (t *Task) Step(cost simtime.Ticks) { t.step(cost) }
 
 // Work charges n ticks of thread-local computation (no logging, no

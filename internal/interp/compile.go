@@ -1,226 +1,111 @@
 package interp
 
 import (
+	"repro/internal/analysis"
 	"repro/internal/bytecode"
 	"repro/internal/heap"
 	"repro/internal/simtime"
 )
 
-// This file is the reproduction's "optimizing compiler" analog (the Jikes
-// RVM optimizing compiler in the paper): methods are pre-decoded into
-// threaded code — one closure per instruction with operands captured — so
-// the hot path skips instruction fetch and opcode dispatch. Semantics are
-// identical to the switch interpreter (the closures fall back to exec for
-// the complex opcodes); every instruction remains a yield point and every
-// store keeps its write barrier, exactly as the paper requires for all
-// compiled code.
+// This file is the reproduction's optimizing compiler (the Jikes RVM
+// optimizing compiler in the paper), selected by Options.Tier:
+// TierThreaded. Every method is compiled at its first activation into
+// fused closure streams:
 //
-// Enable with Options.Threaded. The BenchmarkCompilerTiers benchmark
-// (bench_test.go) measures the dispatch saving.
+//   - maximal straight-line runs of simple opcodes become one closure
+//     that steps through a pre-decoded micro-op array, and the branch,
+//     call or return that ends the basic block runs in the same dispatch;
+//   - calls, allocations and natives are resolved once at compile time
+//     (method pointer, class field specs, native function) instead of
+//     per-execution name lookups;
+//   - monitorenter sites whose sections the static analysis proved
+//     non-revocable compile to a specialized entry that fuses the enter
+//     with the pre-mark, and the region's SAVESTACK, whose RESTORESTACK can
+//     only run under a rollback that can never target the section,
+//     compiles to a charge-only no-op;
+//   - monitorenter/exit pairs the escape analysis proved thread-confined
+//     compile to charge-only no-ops.
+//
+// Every specialization is a discharged proof obligation: it is applied
+// only where a verified certificate licenses it. Every paper semantic is
+// preserved: each constituent still charges its cost — every original
+// instruction boundary remains a yield point with identical quantum-expiry
+// timing — f.pc is maintained per constituent so fault pcs and rollback
+// dispatch are unchanged, and barrier elision remains exactly the
+// statically-proven RAW opcode set produced by rewrite.ApplyStaticElision.
+// The tier-equivalence property tests pin heap/Stats/clock equality with
+// the switch interpreter over every example program.
 
-// opFunc executes one pre-decoded instruction, updating f.pc itself.
+// opFunc executes one compiled instruction (or fused run), updating f.pc
+// itself.
 type opFunc func(in *Interp, f *frame)
 
-// compile pre-decodes a method. The result is cached per Env.
+// execOp runs the instruction at f.pc on the switch interpreter: the
+// compiled code of the cold opcodes, and of the interior pcs of fused runs,
+// which compiled dispatch never lands on.
+func execOp(in *Interp, f *frame) { in.exec(f, f.m.Code[f.pc]) }
+
+// compile returns m's compiled code, building it at m's first activation.
+// The result is cached per Env.
 func (e *Env) compile(m *bytecode.Method) []opFunc {
 	if fns, ok := e.compiled[m]; ok {
 		return fns
 	}
-	cost := e.Opts.CostPerInstr
-	fns := make([]opFunc, len(m.Code))
-	for pc, instr := range m.Code {
-		// With the race sanitizer on, static accesses take the exec path so
-		// the access site gets stamped; all other heap ops already do.
-		if e.raceOn && (instr.Op == bytecode.GETSTATIC || instr.Op == bytecode.PUTSTATIC) {
-			ins := instr
-			fns[pc] = func(in *Interp, f *frame) { in.exec(f, ins) }
-			continue
-		}
-		fn, dedicated := compileOne(instr, pc, cost)
-		if e.profOn && dedicated {
-			// Profiling stamps the pc before the instruction body so its
-			// tick charges attribute to this site — the threaded-code twin
-			// of the stamp at the top of exec. Fallback closures are not
-			// wrapped: exec stamps the same pc itself, and wrapping them
-			// would stamp it twice per instruction.
-			spc, inner := pc, fn
-			fn = func(in *Interp, f *frame) {
-				in.task.SetProfSite(spc)
-				inner(in, f)
+	code := m.Code
+	fns := make([]opFunc, len(code))
+
+	// Leaders start a new fused run: jump targets and handler entries.
+	leader := make([]bool, len(code)+1)
+	for _, instr := range code {
+		switch instr.Op {
+		case bytecode.GOTO, bytecode.IFZ, bytecode.IFNZ:
+			if instr.A >= 0 && instr.A < len(leader) {
+				leader[instr.A] = true
 			}
 		}
-		fns[pc] = fn
 	}
-	if e.profOn {
-		e.RT.Config().Profiler.SetFuncTier(m.Name, "threaded")
+	for _, h := range m.Handlers {
+		if h.Target >= 0 && h.Target < len(leader) {
+			leader[h.Target] = true
+		}
+	}
+
+	deadSaves := e.elidedSavestacks(m)
+
+	for pc := 0; pc < len(code); {
+		if !fusable(code[pc].Op) {
+			fns[pc] = e.compileInstr(m, pc)
+			pc++
+			continue
+		}
+		end := pc + 1
+		for end < len(code) && fusable(code[end].Op) && !leader[end] {
+			end++
+		}
+		// Absorb the following non-fusable instruction as the run's
+		// terminator (unless it is a jump target, which needs its own
+		// dispatch entry): the branch/call/return that ends a basic block
+		// executes in the same dispatch as the straight-line code leading
+		// up to it, instead of a round trip through the dispatch loop.
+		var term opFunc
+		next := end
+		if end < len(code) && !leader[end] {
+			term = e.compileInstr(m, end)
+			fns[end] = term
+			next = end + 1
+		}
+		fns[pc] = e.fuse(m, pc, end, term, deadSaves)
+		for q := pc + 1; q < end; q++ {
+			fns[q] = execOp
+		}
+		pc = next
 	}
 	e.compiled[m] = fns
 	return fns
 }
 
-// compileOne builds the closure for one instruction. Hot, simple opcodes
-// get dedicated closures; everything with non-trivial control flow or
-// runtime interaction reuses the interpreter's exec, which is already a
-// single call away. dedicated is false for those exec fallbacks, whose
-// profiler stamping exec already performs.
-func compileOne(instr bytecode.Instr, pc int, cost simtime.Ticks) (fn opFunc, dedicated bool) {
-	next := pc + 1
-	switch instr.Op {
-	case bytecode.NOP:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.pc = next
-		}, true
-	case bytecode.CONST:
-		v := heap.Word(instr.V)
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.push(v)
-			f.pc = next
-		}, true
-	case bytecode.LOAD:
-		idx := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.push(f.locals[idx])
-			f.pc = next
-		}, true
-	case bytecode.STORE:
-		idx := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.locals[idx] = f.pop()
-			f.pc = next
-		}, true
-	case bytecode.DUP:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			v := f.pop()
-			f.push(v)
-			f.push(v)
-			f.pc = next
-		}, true
-	case bytecode.POP:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.pop()
-			f.pc = next
-		}, true
-	case bytecode.SWAP:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			a, b := f.pop(), f.pop()
-			f.push(a)
-			f.push(b)
-			f.pc = next
-		}, true
-	case bytecode.ADD:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			b, a := f.pop(), f.pop()
-			f.push(a + b)
-			f.pc = next
-		}, true
-	case bytecode.SUB:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			b, a := f.pop(), f.pop()
-			f.push(a - b)
-			f.pc = next
-		}, true
-	case bytecode.MUL:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			b, a := f.pop(), f.pop()
-			f.push(a * b)
-			f.pc = next
-		}, true
-	case bytecode.NEG:
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.push(-f.pop())
-			f.pc = next
-		}, true
-	case bytecode.CMPEQ, bytecode.CMPNE, bytecode.CMPLT, bytecode.CMPLE, bytecode.CMPGT, bytecode.CMPGE:
-		op := instr.Op
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			b, a := f.pop(), f.pop()
-			v, _ := arith(op, a, b)
-			f.push(v)
-			f.pc = next
-		}, true
-	case bytecode.GOTO:
-		target := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.pc = target
-		}, true
-	case bytecode.IFNZ:
-		target := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			if f.pop() != 0 {
-				f.pc = target
-			} else {
-				f.pc = next
-			}
-		}, true
-	case bytecode.IFZ:
-		target := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			if f.pop() == 0 {
-				f.pc = target
-			} else {
-				f.pc = next
-			}
-		}, true
-	case bytecode.GETSTATIC:
-		idx := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			f.push(in.task.ReadStatic(idx))
-			f.pc = next
-		}, true
-	case bytecode.PUTSTATIC:
-		idx := instr.A
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			in.task.WriteStatic(idx, f.pop())
-			f.pc = next
-		}, true
-	case bytecode.SAVESTACK:
-		base, d := instr.A, int(instr.V)
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			for i := 0; i < d; i++ {
-				f.locals[base+i] = f.stack[i]
-			}
-			f.pc = next
-		}, true
-	case bytecode.RESTORESTACK:
-		base, d := instr.A, int(instr.V)
-		return func(in *Interp, f *frame) {
-			in.task.Work(cost)
-			for i := 0; i < d; i++ {
-				f.push(f.locals[base+i])
-			}
-			f.pc = next
-		}, true
-	default:
-		// Everything else (heap object/array access with null checks,
-		// monitors, invoke/return, exceptions, natives, waits) keeps the
-		// interpreter's implementation.
-		ins := instr
-		return func(in *Interp, f *frame) {
-			in.exec(f, ins)
-		}, false
-	}
-}
-
-// loopThreaded is the threaded-code twin of loop.
-func (in *Interp) loopThreaded() {
+// loopCompiled is the compiled-code twin of loop.
+func (in *Interp) loopCompiled() {
 	for len(in.frames) > 0 && in.err == nil {
 		f := in.top()
 		if f.pc < 0 || f.pc >= len(f.fns) {
@@ -230,4 +115,585 @@ func (in *Interp) loopThreaded() {
 		f.fns[f.pc](in, f)
 	}
 	in.done = true
+}
+
+// fusable reports whether op may join a fused straight-line run: simple
+// stack/local/static operations with no control transfer out of the
+// method. DIV and MOD are included — their ArithmeticException aborts the
+// fused closure exactly like exec's early return.
+func fusable(op bytecode.Op) bool {
+	switch op {
+	case bytecode.NOP, bytecode.CONST, bytecode.LOAD, bytecode.STORE,
+		bytecode.DUP, bytecode.POP, bytecode.SWAP,
+		bytecode.ADD, bytecode.SUB, bytecode.MUL, bytecode.DIV, bytecode.MOD, bytecode.NEG,
+		bytecode.CMPEQ, bytecode.CMPNE, bytecode.CMPLT, bytecode.CMPLE,
+		bytecode.CMPGT, bytecode.CMPGE,
+		bytecode.GETSTATIC, bytecode.PUTSTATIC,
+		bytecode.SAVESTACK, bytecode.RESTORESTACK:
+		return true
+	}
+	return false
+}
+
+// elidedSavestacks returns the pcs of SAVESTACK instructions proven dead:
+// their region's section is statically non-revocable, so no rollback can
+// ever target the region and the spill slots the SAVESTACK fills are only
+// read by the region's (unreachable) RESTORESTACK. The tick charge is
+// kept — the instruction still executes as a charge-only no-op. Each
+// elision is a discharged proof obligation: a fact without a matching
+// dead-savestack certificate is never elided (and NewEnv already rejected
+// the fact set as a hard error).
+func (e *Env) elidedSavestacks(m *bytecode.Method) map[int]bool {
+	facts := e.Opts.Facts
+	if facts == nil || !e.Opts.Rewritten {
+		return nil
+	}
+	var dead map[int]bool
+	for _, r := range m.Regions {
+		s := facts.SectionAt(m.Name, r.EnterPC+1)
+		if s == nil || !s.NonRevocable {
+			continue
+		}
+		spc := r.EnterPC - 1
+		if spc < 0 || m.Code[spc].Op != bytecode.SAVESTACK {
+			continue
+		}
+		if facts.RequireCert(m.Name, spc, analysis.CertDeadSavestack) != nil {
+			continue
+		}
+		if dead == nil {
+			dead = map[int]bool{}
+		}
+		dead[spc] = true
+	}
+	return dead
+}
+
+// microOp is a fused run's pre-decoded constituent: 16 bytes (vs ~40 for
+// bytecode.Instr, whose string operand fused opcodes never need), so long
+// runs stay within a couple of cache lines.
+type microOp struct {
+	op bytecode.Op
+	a  int32
+	v  int64
+}
+
+// fuse compiles code[start:end] — a maximal straight-line run of simple
+// opcodes — into one superinstruction closure, with term (the compiled
+// closure of the block-ending instruction at pc end, when non-nil) run in
+// the same dispatch. Each constituent keeps its own pc stamp, profiler
+// stamp and tick charge, so yield points, fault pcs and attribution are
+// bit-identical to the switch interpreter; only the dispatch between
+// constituents is gone.
+func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves map[int]bool) opFunc {
+	ops := make([]microOp, end-start)
+	for i, instr := range m.Code[start:end] {
+		if deadSaves[start+i] && instr.Op == bytecode.SAVESTACK {
+			// Statically dead spill: same tick charge as the SAVESTACK it
+			// replaces, no stack copy.
+			ops[i] = microOp{op: bytecode.NOP}
+			continue
+		}
+		ops[i] = microOp{op: instr.Op, a: int32(instr.A), v: instr.V}
+	}
+	cost := e.Opts.CostPerInstr
+	mname := m.Name
+	profOn, raceOn, fastStep := e.profOn, e.raceOn, e.fastStep
+	audit := e.Opts.ElisionAudit
+	after := end
+
+	return func(in *Interp, f *frame) {
+		t := in.task
+		pc := start
+		for i := range ops {
+			op := &ops[i]
+			f.pc = pc
+			if profOn {
+				t.SetProfSite(pc)
+			}
+			if fastStep {
+				t.Step(cost)
+			} else {
+				t.Work(cost)
+			}
+			switch op.op {
+			case bytecode.NOP:
+				if audit != nil && deadSaves[pc] {
+					audit(analysis.CertDeadSavestack, mname, pc)
+				}
+			case bytecode.CONST:
+				f.push(heap.Word(op.v))
+			case bytecode.LOAD:
+				f.push(f.locals[op.a])
+			case bytecode.STORE:
+				f.locals[op.a] = f.pop()
+			case bytecode.DUP:
+				v := f.pop()
+				f.push(v)
+				f.push(v)
+			case bytecode.POP:
+				f.pop()
+			case bytecode.SWAP:
+				a, b := f.pop(), f.pop()
+				f.push(a)
+				f.push(b)
+			case bytecode.ADD:
+				b, a := f.pop(), f.pop()
+				f.push(a + b)
+			case bytecode.SUB:
+				b, a := f.pop(), f.pop()
+				f.push(a - b)
+			case bytecode.MUL:
+				b, a := f.pop(), f.pop()
+				f.push(a * b)
+			case bytecode.DIV:
+				b, a := f.pop(), f.pop()
+				if b == 0 {
+					in.raiseUser("ArithmeticException")
+					return
+				}
+				f.push(a / b)
+			case bytecode.MOD:
+				b, a := f.pop(), f.pop()
+				if b == 0 {
+					in.raiseUser("ArithmeticException")
+					return
+				}
+				f.push(a % b)
+			case bytecode.NEG:
+				f.push(-f.pop())
+			case bytecode.CMPEQ, bytecode.CMPNE, bytecode.CMPLT, bytecode.CMPLE,
+				bytecode.CMPGT, bytecode.CMPGE:
+				b, a := f.pop(), f.pop()
+				v, _ := arith(op.op, a, b)
+				f.push(v)
+			case bytecode.GETSTATIC:
+				if raceOn {
+					t.SetRaceSite(mname, pc)
+				}
+				f.push(t.ReadStatic(int(op.a)))
+			case bytecode.PUTSTATIC:
+				if raceOn {
+					t.SetRaceSite(mname, pc)
+				}
+				t.WriteStatic(int(op.a), f.pop())
+			case bytecode.SAVESTACK:
+				d := int(op.v)
+				for j := 0; j < d; j++ {
+					f.locals[int(op.a)+j] = f.stack[j]
+				}
+			case bytecode.RESTORESTACK:
+				d := int(op.v)
+				for j := 0; j < d; j++ {
+					f.push(f.locals[int(op.a)+j])
+				}
+			}
+			pc++
+		}
+		// after is the terminator's pc (or the next leader's, with no
+		// terminator); term stamps its own profiler site and advances f.pc
+		// itself, exactly as it would when dispatched from the loop.
+		f.pc = after
+		if term != nil {
+			term(in, f)
+		}
+	}
+}
+
+// compileConfinedElision builds the closure for a certified
+// thread-confined MONITORENTER or MONITOREXIT: the whole monitor operation
+// is a charge-only no-op — the ref is popped and null-checked for NPE
+// parity, the elision is counted and audited, and control falls through.
+// The certificate check happened at plan-build time (Env.confinedIn), so
+// the closure itself carries no fact lookup.
+func (e *Env) compileConfinedElision(mname string, pc int) opFunc {
+	next := pc + 1
+	return func(in *Interp, f *frame) {
+		in.prologue(mname, pc)
+		if _, ok := in.object(f.pop()); !ok {
+			return
+		}
+		in.task.CountConfinedElision()
+		if audit := in.env.Opts.ElisionAudit; audit != nil {
+			audit(analysis.CertConfined, mname, pc)
+		}
+		f.pc = next
+	}
+}
+
+// prologue is exec's per-instruction prologue, run first by every
+// dedicated closure: profiler stamp, tick charge, race-site stamp.
+func (in *Interp) prologue(mname string, pc int) {
+	e := in.env
+	if e.profOn {
+		in.task.SetProfSite(pc)
+	}
+	if e.fastStep {
+		in.task.Step(e.Opts.CostPerInstr)
+	} else {
+		in.task.Work(e.Opts.CostPerInstr)
+	}
+	if e.raceOn {
+		in.task.SetRaceSite(mname, pc)
+	}
+}
+
+// compileInstr builds the closure for the non-fusable instruction at pc:
+// compile-time-resolved where the operand allows it, the switch
+// interpreter for the cold rest. Every dedicated closure runs prologue
+// before its body, exec's hook order exactly.
+func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
+	instr := m.Code[pc]
+	next := pc + 1
+	mname := m.Name
+
+	switch instr.Op {
+	case bytecode.GOTO:
+		target := instr.A
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			f.pc = target
+		}
+	case bytecode.IFZ, bytecode.IFNZ:
+		target, onZero := instr.A, instr.Op == bytecode.IFZ
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			if (f.pop() == 0) == onZero {
+				f.pc = target
+			} else {
+				f.pc = next
+			}
+		}
+
+	case bytecode.GETFIELD:
+		idx := instr.A
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			o, ok := in.object(f.pop())
+			if !ok {
+				return
+			}
+			if idx >= o.NumFields() {
+				in.fail("%s: field %d out of range on %v", mname, idx, o)
+				return
+			}
+			f.push(in.task.ReadField(o, idx))
+			f.pc = next
+		}
+	case bytecode.PUTFIELD:
+		idx := instr.A
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			v := f.pop()
+			o, ok := in.object(f.pop())
+			if !ok {
+				return
+			}
+			if idx >= o.NumFields() {
+				in.fail("%s: field %d out of range on %v", mname, idx, o)
+				return
+			}
+			in.task.WriteField(o, idx, v)
+			f.pc = next
+		}
+	case bytecode.ALOAD:
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			idx := f.pop()
+			a, ok := in.array(f.pop())
+			if !ok {
+				return
+			}
+			if idx < 0 || int(idx) >= a.Len() {
+				in.raiseUser("ArrayIndexOutOfBoundsException")
+				return
+			}
+			f.push(in.task.ReadElem(a, int(idx)))
+			f.pc = next
+		}
+	case bytecode.ASTORE:
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			v := f.pop()
+			idx := f.pop()
+			a, ok := in.array(f.pop())
+			if !ok {
+				return
+			}
+			if idx < 0 || int(idx) >= a.Len() {
+				in.raiseUser("ArrayIndexOutOfBoundsException")
+				return
+			}
+			in.task.WriteElem(a, int(idx), v)
+			f.pc = next
+		}
+	case bytecode.ARRAYLEN:
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			a, ok := in.array(f.pop())
+			if !ok {
+				return
+			}
+			f.push(heap.Word(a.Len()))
+			f.pc = next
+		}
+
+	// Raw stores — the statically elided write barrier. The elided set is
+	// exactly what rewrite.ApplyStaticElision rewrote to RAW opcodes; the
+	// tier only removes the exec dispatch around the plain store.
+	case bytecode.PUTFIELDRAW:
+		idx := instr.A
+		costWrite := e.RT.Config().CostWrite
+		audit := e.Opts.ElisionAudit
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			v := f.pop()
+			o, ok := in.object(f.pop())
+			if !ok {
+				return
+			}
+			if idx >= o.NumFields() {
+				in.fail("%s: field %d out of range on %v", mname, idx, o)
+				return
+			}
+			in.task.Work(costWrite)
+			in.task.CountRawStore()
+			if audit != nil {
+				audit(analysis.CertElideBarrier, mname, pc)
+			}
+			o.Set(idx, v)
+			in.task.RaceRawWriteField(o, idx)
+			f.pc = next
+		}
+	case bytecode.PUTSTATICRAW:
+		idx := instr.A
+		costWrite := e.RT.Config().CostWrite
+		audit := e.Opts.ElisionAudit
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			in.task.Work(costWrite)
+			in.task.CountRawStore()
+			if audit != nil {
+				audit(analysis.CertElideBarrier, mname, pc)
+			}
+			in.env.RT.Heap().SetStatic(idx, f.pop())
+			in.task.RaceRawWriteStatic(idx)
+			f.pc = next
+		}
+	case bytecode.ASTORERAW:
+		costWrite := e.RT.Config().CostWrite
+		audit := e.Opts.ElisionAudit
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			v := f.pop()
+			idx := f.pop()
+			a, ok := in.array(f.pop())
+			if !ok {
+				return
+			}
+			if idx < 0 || int(idx) >= a.Len() {
+				in.raiseUser("ArrayIndexOutOfBoundsException")
+				return
+			}
+			in.task.Work(costWrite)
+			in.task.CountRawStore()
+			if audit != nil {
+				audit(analysis.CertElideBarrier, mname, pc)
+			}
+			a.Set(int(idx), v)
+			in.task.RaceRawWriteElem(a, int(idx))
+			f.pc = next
+		}
+
+	case bytecode.NEWOBJ:
+		// Inline cache: class and field specs resolved once. AllocObject
+		// copies the spec values, so the slice is safely shared.
+		cls, ok := e.Prog.Class(instr.S)
+		if !ok {
+			cls = &bytecode.Class{Name: instr.S}
+		}
+		specs := make([]heap.FieldSpec, len(cls.Fields))
+		for i, fd := range cls.Fields {
+			specs[i] = heap.FieldSpec{Name: fd.Name, Volatile: fd.Volatile, Init: heap.Word(fd.Init)}
+		}
+		factsOn := e.Opts.Facts != nil
+		class := cls
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			o := in.env.RT.Heap().AllocObject(class.Name, specs...)
+			ref := heap.Word(o.ID())
+			in.env.objects[ref] = o
+			in.env.classOf[ref] = class
+			if factsOn {
+				in.task.RegisterAllocObject(o)
+			}
+			f.push(ref)
+			f.pc = next
+		}
+	case bytecode.NEWARR:
+		factsOn := e.Opts.Facts != nil
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			n := f.pop()
+			if n < 0 {
+				in.raiseUser("NegativeArraySizeException")
+				return
+			}
+			ref := in.env.NewArray(int(n))
+			if factsOn {
+				if a, ok := in.env.arrays[ref]; ok {
+					in.task.RegisterAllocArray(a)
+				}
+			}
+			f.push(ref)
+			f.pc = next
+		}
+
+	case bytecode.INVOKE:
+		callee, ok := e.Prog.Method(instr.S)
+		if !ok {
+			break // unknown method: exec reports the error at runtime
+		}
+		nargs := callee.Args
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			// Pop into the Interp's scratch buffer: pushFrame copies the
+			// args into the callee's locals before the next yield point, so
+			// no per-call allocation is needed.
+			if cap(in.argBuf) < nargs {
+				in.argBuf = make([]heap.Word, nargs)
+			}
+			args := in.argBuf[:nargs]
+			for i := nargs - 1; i >= 0; i-- {
+				args[i] = f.pop()
+			}
+			// The caller's pc stays at the INVOKE (RETURN advances it).
+			in.pushFrame(callee, args)
+		}
+	case bytecode.RETURN, bytecode.IRETURN:
+		isIret := instr.Op == bytecode.IRETURN
+		returns := m.Returns
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			var v heap.Word
+			if isIret {
+				v = f.pop()
+			}
+			if len(f.syncs) != 0 {
+				in.fail("%s: return with %d synchronized sections active", mname, len(f.syncs))
+				return
+			}
+			in.frames = in.frames[:len(in.frames)-1]
+			in.profSync()
+			if len(in.frames) == 0 {
+				in.ret = v
+				return
+			}
+			caller := in.top()
+			if returns {
+				caller.push(v)
+			}
+			caller.pc++ // step past the INVOKE
+		}
+	case bytecode.NATIVE:
+		fn, ok := e.natives[instr.S]
+		if !ok {
+			break // late registration or error: exec resolves at runtime
+		}
+		name, nargs := instr.S, instr.A
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			args := make([]heap.Word, nargs)
+			for i := nargs - 1; i >= 0; i-- {
+				args[i] = f.pop()
+			}
+			var ret heap.Word
+			in.task.Native(name, func() { ret = fn(in.env, in.task, args) })
+			f.push(ret)
+			f.pc = next
+		}
+
+	case bytecode.MONITORENTER:
+		// The section fact and region index are resolved at compile time;
+		// statically non-revocable sections take the specialized entry
+		// that skips the per-execution lookup chain and fuses the
+		// pre-mark into the enter. The specialization is a discharged
+		// proof obligation: a non-revocable fact without a matching
+		// certificate compiles to a hard error, never to a silent
+		// specialization.
+		if e.confinedIn(m)[pc] == confinedEnter {
+			return e.compileConfinedElision(mname, pc)
+		}
+		regionIdx := e.regionIndex(m, pc)
+		rewritten := e.Opts.Rewritten
+		nonRev := false
+		var nonRevReason string
+		if facts := e.Opts.Facts; facts != nil {
+			if s := facts.SectionAt(mname, pc); s != nil && s.NonRevocable {
+				if err := facts.RequireCert(mname, pc, analysis.CertNonRevocable); err != nil {
+					certErr := err
+					return func(in *Interp, f *frame) { in.fail("%v", certErr) }
+				}
+				nonRev, nonRevReason = true, s.ReasonSummary()
+			}
+		}
+		dlOn := e.dlOn
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			mon, ok := in.monitorFor(f.pop())
+			if !ok {
+				return
+			}
+			depth := in.task.EngineFrameDepth()
+			if dlOn {
+				in.task.SetLockSite(mname, pc)
+			}
+			if nonRev {
+				in.task.EngineEnterNonRevocable(mon, nonRevReason)
+			} else {
+				in.task.EngineEnter(mon)
+			}
+			if !rewritten {
+				in.task.MarkIrrevocable("unrewritten bytecode")
+			}
+			f.syncs = append(f.syncs, activeSync{staticIdx: regionIdx, mon: mon, coreDepth: depth})
+			f.pc = next
+		}
+	case bytecode.MONITOREXIT:
+		if e.confinedIn(m)[pc] == confinedExit {
+			return e.compileConfinedElision(mname, pc)
+		}
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			mon, ok := in.monitorFor(f.pop())
+			if !ok {
+				return
+			}
+			if len(f.syncs) == 0 || f.syncs[len(f.syncs)-1].mon != mon {
+				in.fail("%s@%d: monitorexit does not match innermost monitorenter", mname, pc)
+				return
+			}
+			f.syncs = f.syncs[:len(f.syncs)-1]
+			in.task.EngineExit(mon)
+			f.pc = next
+		}
+
+	case bytecode.WORK:
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			in.task.Work(simtime.Ticks(f.pop()))
+			f.pc = next
+		}
+	case bytecode.SLEEP:
+		return func(in *Interp, f *frame) {
+			in.prologue(mname, pc)
+			in.task.Sleep(simtime.Ticks(f.pop()))
+			f.pc = next
+		}
+	}
+
+	// Cold rest (WAIT, NOTIFY, THROW, RETHROW, CHECKTARGET, SPAWN,
+	// unresolved references): the switch interpreter, which stamps its own
+	// profiler site.
+	return execOp
 }

@@ -13,8 +13,13 @@ import (
 // callMainWith runs "main" under the given options.
 func callMainWith(t *testing.T, src string, opts Options) heap.Word {
 	t.Helper()
-	prog := bytecode.MustAssemble(src)
 	rt := core.New(core.Config{Mode: core.Unmodified, Sched: sched.Config{Quantum: 1000}})
+	return callMainOn(t, rt, bytecode.MustAssemble(src), opts)
+}
+
+// callMainOn runs prog's "main" on rt under the given options.
+func callMainOn(t *testing.T, rt *core.Runtime, prog *bytecode.Program, opts Options) heap.Word {
+	t.Helper()
 	env, err := NewEnv(rt, prog, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -37,10 +42,20 @@ func callMainWith(t *testing.T, src string, opts Options) heap.Word {
 	return ret
 }
 
-// TestThreadedMatchesInterpreter runs a mixed workload on both tiers and
-// compares results tick for tick.
+// TestThreadedMatchesInterpreter runs a mixed workload — fused runs,
+// branches, a compile-time-resolved call — on both tiers and compares the
+// results.
 func TestThreadedMatchesInterpreter(t *testing.T) {
-	src := `
+	a := callMainWith(t, mixedWorkload, Options{})
+	b := callMainWith(t, mixedWorkload, Options{Tier: TierThreaded})
+	if a != b {
+		t.Fatalf("tiers disagree: interp=%d threaded=%d", a, b)
+	}
+}
+
+// mixedWorkload is a single-threaded main with a loop of arithmetic, a
+// static read, a field store and a call.
+const mixedWorkload = `
 static g = 3
 class Box {
     v = 2
@@ -84,17 +99,11 @@ method half args 1 locals 1 returns {
     ireturn
 }
 `
-	a := callMainWith(t, src, Options{})
-	b := callMainWith(t, src, Options{Threaded: true})
-	if a != b {
-		t.Fatalf("tiers disagree: interp=%d threaded=%d", a, b)
-	}
-}
 
 // TestThreadedVirtualTimeIdentical: both tiers charge identical virtual
 // time, so evaluation results do not depend on the execution tier.
 func TestThreadedVirtualTimeIdentical(t *testing.T) {
-	run := func(threaded bool) (heap.Word, int64) {
+	run := func(tier Tier) (heap.Word, int64) {
 		src := `
 static acc = 0
 method main locals 1 returns {
@@ -119,7 +128,7 @@ method main locals 1 returns {
 `
 		prog := bytecode.MustAssemble(src)
 		rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 100}})
-		env, err := NewEnv(rt, prog, Options{Threaded: threaded})
+		env, err := NewEnv(rt, prog, Options{Tier: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,14 +142,16 @@ method main locals 1 returns {
 		}
 		return ret, int64(rt.Now())
 	}
-	r1, t1 := run(false)
-	r2, t2 := run(true)
+	r1, t1 := run(TierExec)
+	r2, t2 := run(TierThreaded)
 	if r1 != r2 || t1 != t2 {
 		t.Fatalf("tiers diverge: (%d, %d ticks) vs (%d, %d ticks)", r1, t1, r2, t2)
 	}
 }
 
-// TestThreadedRevocation: the threaded tier supports rollback scopes too.
+// TestThreadedRevocation: compiled code keeps full rollback-scope support —
+// the SAVESTACK of a revocable section is not elided, and CHECKTARGET /
+// RESTORESTACK dispatch still works from inside fused frames.
 func TestThreadedRevocation(t *testing.T) {
 	prog, err := rewrite.Rewrite(bytecode.MustAssemble(revocationProgram))
 	if err != nil {
@@ -151,7 +162,7 @@ func TestThreadedRevocation(t *testing.T) {
 		TrackDependencies: true,
 		Sched:             sched.Config{Quantum: 200},
 	})
-	env, err := Run(rt, prog, Options{Rewritten: true, Threaded: true})
+	env, err := Run(rt, prog, Options{Rewritten: true, Tier: TierThreaded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +175,8 @@ func TestThreadedRevocation(t *testing.T) {
 	}
 }
 
-// TestThreadedExceptions: user-exception dispatch works identically.
+// TestThreadedExceptions: ArithmeticException raised from inside a fused
+// run dispatches to the handler with the faulting pc.
 func TestThreadedExceptions(t *testing.T) {
 	src := `
 method main locals 0 returns {
@@ -183,7 +195,7 @@ method main locals 0 returns {
 }
 handler main from try to after target catcher catch ArithmeticException
 `
-	if got := callMainWith(t, src, Options{Threaded: true}); got != 5 {
+	if got := callMainWith(t, src, Options{Tier: TierThreaded}); got != 5 {
 		t.Fatalf("ret = %d", got)
 	}
 }
@@ -197,7 +209,7 @@ method main locals 0 returns {
 }
 `)
 	rt := core.New(core.Config{})
-	env, err := NewEnv(rt, prog, Options{Threaded: true})
+	env, err := NewEnv(rt, prog, Options{Tier: TierThreaded})
 	if err != nil {
 		t.Fatal(err)
 	}

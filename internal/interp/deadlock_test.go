@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/rewrite"
 	"repro/internal/sched"
+	"repro/internal/simtime"
 )
 
 // exampleSources globs every seeded example program, including the
@@ -32,16 +33,23 @@ func exampleSources(t *testing.T) []string {
 	return srcs
 }
 
-// prepareExample runs one example source through the full rvmrun -static
-// pipeline: assemble, verify, rewrite, analyze the rewritten program,
-// apply certified elision.
+// prepareExample runs one example source file through the full rvmrun
+// -static pipeline (prepareSource).
 func prepareExample(t *testing.T, src string) (*bytecode.Program, *analysis.Facts) {
 	t.Helper()
 	text, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := bytecode.Assemble(string(text))
+	return prepareSource(t, string(text))
+}
+
+// prepareSource runs assembly text through the full rvmrun -static
+// pipeline: assemble, verify, rewrite, analyze the rewritten program,
+// apply certified elision.
+func prepareSource(t *testing.T, text string) (*bytecode.Program, *analysis.Facts) {
+	t.Helper()
+	prog, err := bytecode.Assemble(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,20 +68,36 @@ func prepareExample(t *testing.T, src string) (*bytecode.Program, *analysis.Fact
 	return prog, facts
 }
 
+// deadlockRuns are the configurations TestDynamicDeadlocksSubsetOfStatic
+// quantifies over, every one on the rvmrun -static pipeline
+// (prepareExample): both tiers at the 1000-tick quantum, and "opt", the
+// compiled tier preempted every 7 ticks, so preemption and revocation land
+// inside its fused runs and the detector witnesses a second schedule.
+var deadlockRuns = []struct {
+	name    string
+	tier    Tier
+	quantum simtime.Ticks
+}{
+	{"exec", TierExec, 1000},
+	{"threaded", TierThreaded, 1000},
+	{"opt", TierThreaded, 7},
+}
+
 // TestDynamicDeadlocksSubsetOfStatic is the cross-validation invariant
 // between the runtime wait-for-graph detector and the behavioral pass:
-// over every example program on every tier, any deadlock the WFG
-// observer witnesses at runtime must appear in the static report —
-// the program has non-empty Facts.Deadlocks, and every blocked thread's
-// stamped acquisition sites are witness positions of the static cycles.
+// over every example program in every deadlockRuns configuration, any
+// deadlock the WFG observer witnesses at runtime must appear in the
+// static report — the program has non-empty Facts.Deadlocks, and every
+// blocked thread's stamped acquisition sites are witness positions of
+// the static cycles.
 // (The converse is not an invariant: a static may-deadlock need not
 // fire on one deterministic schedule.)
 func TestDynamicDeadlocksSubsetOfStatic(t *testing.T) {
 	for _, src := range exampleSources(t) {
 		src := src
-		for _, tier := range allTiers {
-			tier := tier
-			t.Run(filepath.Base(src)+"/"+tier.String(), func(t *testing.T) {
+		for _, dr := range deadlockRuns {
+			dr := dr
+			t.Run(filepath.Base(src)+"/"+dr.name, func(t *testing.T) {
 				prog, facts := prepareExample(t, src)
 
 				var cycles [][]core.DeadlockEdge
@@ -84,15 +108,14 @@ func TestDynamicDeadlocksSubsetOfStatic(t *testing.T) {
 					OnDeadlock: func(cycle []core.DeadlockEdge) {
 						cycles = append(cycles, cycle)
 					},
-					Sched: sched.Config{Quantum: 1000},
+					Sched: sched.Config{Quantum: dr.quantum},
 				})
 				if _, err := Run(rt, prog, Options{
-					Rewritten:        true,
-					Tier:             tier,
-					OptCallThreshold: 1,
-					Facts:            facts,
+					Rewritten: true,
+					Tier:      dr.tier,
+					Facts:     facts,
 				}); err != nil {
-					t.Fatalf("%v tier: %v", tier, err)
+					t.Fatalf("%v tier: %v", dr.tier, err)
 				}
 				if len(cycles) == 0 {
 					return
@@ -190,7 +213,7 @@ func rawInSource(t *testing.T, src string) map[string]bool {
 }
 
 // TestOptElisionsAllCertified is the certificate-audit property: every
-// write barrier the opt tier actually skips and every SAVESTACK it
+// write barrier the compiled tier actually skips and every SAVESTACK it
 // compiles to a no-op carries a matching certificate. The example
 // corpus exercises barrier elision; a spill-heavy fixture (the
 // TestOptSavestackElision shape) exercises dead-SAVESTACK elision so
@@ -206,10 +229,9 @@ func TestOptElisionsAllCertified(t *testing.T) {
 			Sched:             sched.Config{Quantum: 1000},
 		})
 		if _, err := Run(rt, prog, Options{
-			Rewritten:        true,
-			Tier:             TierOpt,
-			OptCallThreshold: 1,
-			Facts:            facts,
+			Rewritten: true,
+			Tier:      TierThreaded,
+			Facts:     facts,
 			ElisionAudit: func(kind analysis.CertKind, method string, pc int) {
 				if kind == analysis.CertElideBarrier && seededRaw[analysis.Pos{Method: method, PC: pc}.String()] {
 					return // hand-written .raw store, not an elision
@@ -220,7 +242,7 @@ func TestOptElisionsAllCertified(t *testing.T) {
 				}
 			},
 		}); err != nil {
-			t.Fatalf("opt tier: %v", err)
+			t.Fatalf("threaded tier: %v", err)
 		}
 	}
 

@@ -32,24 +32,19 @@ import (
 // machinery; calling one makes the enclosing monitors non-revocable.
 type NativeFunc func(e *Env, t *core.Task, args []heap.Word) heap.Word
 
-// Tier selects the execution tier. All tiers are semantically identical —
+// Tier selects the execution tier. Both tiers are semantically identical —
 // same virtual clock, same Stats, same heap — and the property tests pin
 // that equivalence over every example program.
 type Tier int
 
 const (
 	// TierExec is the switch interpreter (the paper's baseline compiler
-	// analog).
+	// analog) and the reference semantics.
 	TierExec Tier = iota
-	// TierThreaded pre-decodes methods into threaded code: one closure
-	// per instruction with operands captured.
+	// TierThreaded compiles every method at its first activation into
+	// fused closure streams specialized against the static facts (the
+	// paper's optimizing compiler analog). See compile.go.
 	TierThreaded
-	// TierOpt starts methods on threaded code and, once a deterministic
-	// hotness threshold is crossed, recompiles them into fused
-	// superinstruction streams specialized against the static facts
-	// (compile-time-resolved call/field/class references, statically
-	// non-revocable monitorenter, dead SAVESTACK elision). See opt.go.
-	TierOpt
 )
 
 func (t Tier) String() string {
@@ -58,8 +53,6 @@ func (t Tier) String() string {
 		return "exec"
 	case TierThreaded:
 		return "threaded"
-	case TierOpt:
-		return "opt"
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
 }
@@ -71,10 +64,8 @@ func ParseTier(s string) (Tier, error) {
 		return TierExec, nil
 	case "threaded":
 		return TierThreaded, nil
-	case "opt":
-		return TierOpt, nil
 	}
-	return TierExec, fmt.Errorf("interp: unknown tier %q (want exec, threaded, or opt)", s)
+	return TierExec, fmt.Errorf("interp: unknown tier %q (want exec or threaded)", s)
 }
 
 // Options configures an Env.
@@ -92,20 +83,6 @@ type Options struct {
 	Rewritten bool
 	// Tier selects the execution tier (default TierExec).
 	Tier Tier
-	// Threaded is the deprecated alias for Tier: TierThreaded. It is
-	// honored when Tier is left at its zero value and mirrored back
-	// (Threaded = Tier != TierExec) after normalization.
-	Threaded bool
-	// OptCallThreshold is the TierOpt invocation-count hotness threshold:
-	// a method recompiles to fused code at its Nth activation (default 2).
-	// Deterministic by construction — the count does not depend on timing.
-	OptCallThreshold int
-	// OptHotTicks is the TierOpt profile-feed hotness threshold: with a
-	// profiler attached, a method whose attributed work ticks
-	// (prof.Profiler.FuncWork) reach this value recompiles at its next
-	// activation even below OptCallThreshold (default 1000). Virtual-time
-	// attribution is deterministic, so tier decisions stay reproducible.
-	OptHotTicks int64
 	// Facts supplies whole-program static analysis results (from
 	// analysis.Analyze over this exact program). When set, monitorenter
 	// sites of statically non-revocable sections are pre-marked so they
@@ -118,8 +95,9 @@ type Options struct {
 	// fact fields (see analysis.VerifyCertificates).
 	Facts *analysis.Facts
 	// ElisionAudit, when non-nil, is called for every statically elided
-	// operation actually executed — each barrier-free RAW store and each
-	// dead-SAVESTACK no-op — with the certificate kind that licensed it.
+	// operation actually executed — each barrier-free RAW store, each
+	// dead-SAVESTACK no-op and each confined-monitor no-op — with the
+	// certificate kind that licensed it.
 	// The certificate property test uses it to assert executed elisions ⊆
 	// certificates. A nil hook adds one predictable branch.
 	ElisionAudit func(kind analysis.CertKind, method string, pc int)
@@ -141,17 +119,8 @@ type Env struct {
 	// regionAt maps (method, monitorenter pc) to the static region index.
 	regionAt map[*bytecode.Method]map[int]int
 
-	// compiled caches threaded code per method (TierThreaded, and TierOpt
-	// methods still below the hotness threshold).
+	// compiled caches each method's compiled code (TierThreaded).
 	compiled map[*bytecode.Method][]opFunc
-
-	// optCompiled caches fused superinstruction code per hot method
-	// (TierOpt only).
-	optCompiled map[*bytecode.Method][]opFunc
-
-	// calls counts method activations — TierOpt's invocation-count
-	// hotness feed and the per-tier method accounting for TierCounts.
-	calls map[*bytecode.Method]int
 
 	// confined caches, per method, the certificate-gated whole-monitor
 	// elision plan: pc -> confinedEnter/confinedExit for MONITORENTER/EXIT
@@ -172,6 +141,11 @@ type Env struct {
 	// name each edge's acquisition pc.
 	dlOn bool
 
+	// fastStep lets compiled code charge each instruction through the
+	// loop-free Task.Step, which equals Work when the per-instruction cost
+	// fits in one quantum and no what-if Perturb.Scale rewrites charges.
+	fastStep bool
+
 	// spawnCount numbers dynamically spawned threads (SPAWN opcode) so
 	// their names are unique and deterministic.
 	spawnCount int
@@ -186,15 +160,8 @@ func NewEnv(rt *core.Runtime, prog *bytecode.Program, opts Options) (*Env, error
 	if opts.CostPerInstr == 0 {
 		opts.CostPerInstr = 1
 	}
-	if opts.Tier == TierExec && opts.Threaded {
-		opts.Tier = TierThreaded // deprecated alias
-	}
-	opts.Threaded = opts.Tier != TierExec
-	if opts.OptCallThreshold == 0 {
-		opts.OptCallThreshold = 2
-	}
-	if opts.OptHotTicks == 0 {
-		opts.OptHotTicks = 1000
+	if opts.Tier != TierExec && opts.Tier != TierThreaded {
+		return nil, fmt.Errorf("interp: unknown %v (want exec or threaded)", opts.Tier)
 	}
 	if rt.Heap().NumStatics() != 0 {
 		return nil, fmt.Errorf("interp: runtime heap already has statics; use a fresh runtime")
@@ -210,22 +177,22 @@ func NewEnv(rt *core.Runtime, prog *bytecode.Program, opts Options) (*Env, error
 			return nil, err
 		}
 	}
+	perturb := rt.Config().Perturb
 	e := &Env{
-		RT:          rt,
-		Prog:        prog,
-		Opts:        opts,
-		natives:     map[string]NativeFunc{},
-		objects:     map[heap.Word]*heap.Object{},
-		arrays:      map[heap.Word]*heap.Array{},
-		classOf:     map[heap.Word]*bytecode.Class{},
-		regionAt:    map[*bytecode.Method]map[int]int{},
-		compiled:    map[*bytecode.Method][]opFunc{},
-		optCompiled: map[*bytecode.Method][]opFunc{},
-		calls:       map[*bytecode.Method]int{},
-		confined:    map[*bytecode.Method]map[int]int8{},
-		raceOn:      rt.Config().Race != nil,
-		profOn:      rt.Config().Profiler != nil,
-		dlOn:        rt.Config().OnDeadlock != nil,
+		RT:       rt,
+		Prog:     prog,
+		Opts:     opts,
+		natives:  map[string]NativeFunc{},
+		objects:  map[heap.Word]*heap.Object{},
+		arrays:   map[heap.Word]*heap.Array{},
+		classOf:  map[heap.Word]*bytecode.Class{},
+		regionAt: map[*bytecode.Method]map[int]int{},
+		compiled: map[*bytecode.Method][]opFunc{},
+		confined: map[*bytecode.Method]map[int]int8{},
+		raceOn:   rt.Config().Race != nil,
+		profOn:   rt.Config().Profiler != nil,
+		dlOn:     rt.Config().OnDeadlock != nil,
+		fastStep: opts.CostPerInstr <= rt.Scheduler().Quantum() && (perturb == nil || len(perturb.Scale) == 0),
 	}
 	for _, s := range prog.Statics {
 		rt.Heap().DefineStatic(s.Name, s.Volatile, heap.Word(s.Init))
@@ -287,29 +254,6 @@ func (e *Env) Object(ref heap.Word) (*heap.Object, bool) {
 func (e *Env) Array(ref heap.Word) (*heap.Array, bool) {
 	a, ok := e.arrays[ref]
 	return a, ok
-}
-
-// TierCounts reports how many distinct invoked methods currently sit at
-// each tier: opt methods run fused code, threaded methods run pre-decoded
-// closures (including TierOpt methods still below the hotness threshold),
-// and exec methods run on the switch interpreter.
-func (e *Env) TierCounts() (exec, threaded, opt int) {
-	opt = len(e.optCompiled)
-	for m := range e.compiled {
-		if _, ok := e.optCompiled[m]; !ok {
-			threaded++
-		}
-	}
-	for m := range e.calls {
-		if _, ok := e.compiled[m]; ok {
-			continue
-		}
-		if _, ok := e.optCompiled[m]; ok {
-			continue
-		}
-		exec++
-	}
-	return exec, threaded, opt
 }
 
 // regionIndex returns the static sync-region index whose MONITORENTER sits
@@ -394,7 +338,7 @@ type frame struct {
 	locals []heap.Word
 	stack  []heap.Word
 	syncs  []activeSync
-	// fns is the method's compiled code (TierThreaded and TierOpt).
+	// fns is the method's compiled code (TierThreaded).
 	fns []opFunc
 }
 
@@ -436,7 +380,7 @@ type Interp struct {
 	// started; the profiler stack mirrors frames above it.
 	profBase int
 
-	// argBuf is scratch for the fused tier's compile-time-resolved INVOKE:
+	// argBuf is scratch for the compiled tier's compile-time-resolved INVOKE:
 	// arguments are popped into it and immediately copied out by pushFrame,
 	// with no yield point in between, so one buffer serves every call.
 	argBuf []heap.Word
@@ -448,12 +392,8 @@ func (in *Interp) pushFrame(m *bytecode.Method, args []heap.Word) {
 		locals: make([]heap.Word, m.Locals),
 		stack:  make([]heap.Word, 0, m.MaxStack),
 	}
-	in.env.calls[m]++
-	switch in.env.Opts.Tier {
-	case TierThreaded:
+	if in.env.Opts.Tier == TierThreaded {
 		f.fns = in.env.compile(m)
-	case TierOpt:
-		f.fns = in.env.compileTiered(m)
 	}
 	copy(f.locals, args)
 	in.frames = append(in.frames, f)
@@ -491,8 +431,8 @@ func (in *Interp) Execute() (heap.Word, error) {
 			return in.ret, in.err
 		}
 		body := in.loop
-		if in.env.Opts.Tier != TierExec {
-			body = in.loopThreaded
+		if in.env.Opts.Tier == TierThreaded {
+			body = in.loopCompiled
 		}
 		again, ok := in.protect(body)
 		if !ok {

@@ -45,10 +45,7 @@ func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64
 	if _, err := Run(rt, prog, Options{
 		Rewritten: true,
 		Tier:      tier,
-		// Promote at the first activation so TierOpt runs attribute from
-		// fused code throughout.
-		OptCallThreshold: 1,
-		Out:              io.Discard,
+		Out:       io.Discard,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +64,8 @@ func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64
 //   - the waste dimension reconciles EXACTLY with core.Stats.WastedTicks —
 //     the profiler's rollback reclassification and the runtime's CPU-delta
 //     accounting agree tick for tick;
-//   - all three tiers attribute identically (the per-constituent stamps in
-//     fused superinstructions mirror exec's per-instruction stamps).
+//   - both tiers attribute identically (the per-constituent stamps in
+//     fused runs mirror exec's per-instruction stamps).
 //
 // Block is deliberately outside the sum: on the uniprocessor, parked time
 // overlaps other threads' execution (overlay accounting, like Go's block
@@ -89,7 +86,7 @@ func TestProfilerPartitionsVirtualTime(t *testing.T) {
 	for _, src := range srcs {
 		src := src
 		t.Run(filepath.Base(src), func(t *testing.T) {
-			var tierTotals [3][prof.NumDims]int64
+			tierTotals := make([][prof.NumDims]int64, len(allTiers))
 			for ti, tier := range allTiers {
 				totals, now, wasted := profTotals(t, src, tier)
 				tierTotals[ti] = totals

@@ -71,9 +71,9 @@ method highMain locals 1 {
     return
 }
 `
-	for _, threaded := range []bool{false, true} {
+	for _, tier := range allTiers {
 		name := "interpreter"
-		if threaded {
+		if tier == TierThreaded {
 			name = "threaded"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -93,7 +93,7 @@ method highMain locals 1 {
 				t.Fatalf("no depth-2 SAVESTACK injected:\n%s", bytecode.Disassemble(low))
 			}
 			rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 200}})
-			env, err := Run(rt, prog, Options{Rewritten: true, Threaded: threaded})
+			env, err := Run(rt, prog, Options{Rewritten: true, Tier: tier})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,16 +89,6 @@ type Profiler struct {
 	counts    [NumDims]map[sampleKey]int64
 	totals    [NumDims]int64
 
-	// funcWork accumulates gross Work ticks per function — the hotness
-	// feed for the interpreter's compiling tier. Gross deliberately:
-	// rollback reclassification does not subtract, since a method that
-	// burns ticks in doomed sections is still hot.
-	funcWork map[int32]int64
-
-	// funcTier tags functions with the execution tier that last compiled
-	// them ("threaded", "opt"), surfaced on attributed sites in Top.
-	funcTier map[int32]string
-
 	// sampler, when set, observes every Work tick charge with its leaf
 	// frame — the per-tick feed the causal profiler intersects with the
 	// critical path for exact (method, pc) attribution. clock supplies the
@@ -111,10 +101,8 @@ type Profiler struct {
 // New creates an empty profiler.
 func New() *Profiler {
 	p := &Profiler{
-		funcIDs:  make(map[string]int32),
-		nodeIDs:  make(map[node]int32),
-		funcWork: make(map[int32]int64),
-		funcTier: make(map[int32]string),
+		funcIDs: make(map[string]int32),
+		nodeIDs: make(map[node]int32),
 	}
 	for d := range p.counts {
 		p.counts[d] = make(map[sampleKey]int64)
@@ -161,27 +149,6 @@ func (p *Profiler) SchedTick(label string, d simtime.Ticks) {
 	p.mu.Lock()
 	n := p.internNode(node{fn: p.internFunc("<" + label + ">")})
 	p.add(Sched, sampleKey{node: n}, int64(d))
-	p.mu.Unlock()
-}
-
-// FuncWork returns the gross Work ticks attributed to function fn so far
-// — the deterministic hotness feed consumed by the compiling tier.
-// Unknown functions return 0.
-func (p *Profiler) FuncWork(fn string) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id, ok := p.funcIDs[fn]
-	if !ok {
-		return 0
-	}
-	return p.funcWork[id]
-}
-
-// SetFuncTier tags fn with the execution tier that compiled it; Top
-// surfaces the tag on attributed sites.
-func (p *Profiler) SetFuncTier(fn, tier string) {
-	p.mu.Lock()
-	p.funcTier[p.internFunc(fn)] = tier
 	p.mu.Unlock()
 }
 
@@ -284,12 +251,8 @@ func (tp *ThreadProf) Tick(d simtime.Ticks) {
 	var leaf string
 	p.mu.Lock()
 	p.add(Work, key, int64(d))
-	if key.node != 0 {
-		fn := p.nodes[key.node-1].fn
-		p.funcWork[fn] += int64(d)
-		if p.sampler != nil && len(tp.stack) > 1 {
-			leaf = p.funcNames[fn-1]
-		}
+	if p.sampler != nil && len(tp.stack) > 1 {
+		leaf = p.funcNames[p.nodes[key.node-1].fn-1]
 	}
 	p.mu.Unlock()
 	if p.sampler != nil && p.clock != nil {
@@ -406,10 +369,6 @@ type Sample struct {
 type Snapshot struct {
 	Dims   [NumDims][]Sample
 	Totals [NumDims]int64
-
-	// FuncTier maps function names to the execution tier that compiled
-	// them (absent = interpreted only).
-	FuncTier map[string]string
 }
 
 // Snapshot resolves every cell into stacks under the lock and returns a
@@ -417,10 +376,7 @@ type Snapshot struct {
 func (p *Profiler) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := &Snapshot{Totals: p.totals, FuncTier: make(map[string]string, len(p.funcTier))}
-	for id, tier := range p.funcTier {
-		s.FuncTier[p.funcNames[id-1]] = tier
-	}
+	s := &Snapshot{Totals: p.totals}
 	for d := Dim(0); d < NumDims; d++ {
 		samples := make([]Sample, 0, len(p.counts[d]))
 		for key, v := range p.counts[d] {
@@ -468,13 +424,11 @@ func stackLess(a, b []Frame) bool {
 	return len(a) < len(b)
 }
 
-// TopSite is one leaf site in a Top ranking. Tier, when non-empty, names
-// the execution tier that compiled the function ("threaded", "opt").
+// TopSite is one leaf site in a Top ranking.
 type TopSite struct {
 	Func  string `json:"func"`
 	PC    int    `json:"pc"`
 	Ticks int64  `json:"ticks"`
-	Tier  string `json:"tier,omitempty"`
 }
 
 // Top ranks one dimension's leaf sites by accumulated ticks and returns
@@ -490,7 +444,7 @@ func (s *Snapshot) Top(dim Dim, n int) []TopSite {
 	}
 	sites := make([]TopSite, 0, len(agg))
 	for f, v := range agg {
-		sites = append(sites, TopSite{Func: f.Func, PC: f.PC, Ticks: v, Tier: s.FuncTier[f.Func]})
+		sites = append(sites, TopSite{Func: f.Func, PC: f.PC, Ticks: v})
 	}
 	sort.Slice(sites, func(i, j int) bool {
 		if sites[i].Ticks != sites[j].Ticks {

@@ -13,7 +13,28 @@ import (
 	"repro/internal/race"
 	"repro/internal/rewrite"
 	"repro/internal/sched"
+	"repro/internal/simtime"
 )
+
+// runConfig is one way the subset properties run an example program.
+type runConfig struct {
+	name    string
+	tier    interp.Tier
+	static  bool          // rvmrun -static: certified elision applied, Facts handed to the VM
+	quantum simtime.Ticks // scheduler quantum
+}
+
+// runConfigs are the configurations the subset properties quantify over:
+// both tiers on the rewritten program as rvmrun runs it by default, and
+// "opt", the compiled tier on the statically optimized program (rvmrun
+// -static -tier threaded) — certified barrier, monitor and SAVESTACK
+// elisions on — preempted every 7 ticks, so preemption and revocation
+// land inside its fused runs and the detector sees a second schedule.
+var runConfigs = []runConfig{
+	{"exec", interp.TierExec, false, 1000},
+	{"threaded", interp.TierThreaded, false, 1000},
+	{"opt", interp.TierThreaded, true, 7},
+}
 
 // exampleCorpus globs the non-deadlocking example programs (the
 // deadlocking corpus needs the deterministic revocation schedule and is
@@ -43,10 +64,9 @@ func exampleCorpus(t *testing.T) []string {
 // means the lockset analysis wrongly proved a racing slot protected.
 func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 	for _, src := range exampleCorpus(t) {
-		for _, tier := range []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt} {
-			src, tier := src, tier
-			name := filepath.Base(src) + "/" + tier.String()
-			t.Run(name, func(t *testing.T) {
+		for _, rc := range runConfigs {
+			src, rc := src, rc
+			t.Run(filepath.Base(src)+"/"+rc.name, func(t *testing.T) {
 				text, err := os.ReadFile(src)
 				if err != nil {
 					t.Fatal(err)
@@ -69,6 +89,7 @@ func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 					t.Fatal(err)
 				}
 				static := facts.RaceSlots()
+				opts := rc.options(prog, facts)
 
 				detector := race.New()
 				rt := core.New(core.Config{
@@ -76,14 +97,9 @@ func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 					TrackDependencies: true,
 					DeadlockDetection: true,
 					Race:              detector,
-					Sched:             sched.Config{Quantum: 1000},
+					Sched:             sched.Config{Quantum: rc.quantum},
 				})
-				if _, err := interp.Run(rt, prog, interp.Options{
-					Rewritten:        true,
-					Tier:             tier,
-					OptCallThreshold: 1,
-					Out:              io.Discard,
-				}); err != nil {
+				if _, err := interp.Run(rt, prog, opts); err != nil {
 					t.Fatal(err)
 				}
 				for _, r := range detector.Finalize() {
@@ -100,17 +116,17 @@ func TestDifferentialDynamicSubsetOfStatic(t *testing.T) {
 // TestCertifiedSkipPreservesReports is the soundness property of the
 // certificate-armed detector: loading the analysis's race-free
 // certificates must only remove work, never reports. Over every example
-// on every tier, the report set with certificates loaded is identical to
-// the baseline's — a certified slot that produced a report would mean the
-// static pass wrongly proved it race-free. The confined example keeps the
+// in every runConfigs configuration, the report set with certificates
+// loaded is identical to the baseline's — a certified slot that produced
+// a report would mean the static pass wrongly proved it race-free. The confined example keeps the
 // property non-vacuous: its certified slot is accessed in the hot loop,
 // so the armed detector must actually skip checks there.
 func TestCertifiedSkipPreservesReports(t *testing.T) {
 	sawSkips := false
 	for _, src := range exampleCorpus(t) {
-		for _, tier := range []interp.Tier{interp.TierExec, interp.TierThreaded, interp.TierOpt} {
-			src, tier := src, tier
-			t.Run(filepath.Base(src)+"/"+tier.String(), func(t *testing.T) {
+		for _, rc := range runConfigs {
+			src, rc := src, rc
+			t.Run(filepath.Base(src)+"/"+rc.name, func(t *testing.T) {
 				text, err := os.ReadFile(src)
 				if err != nil {
 					t.Fatal(err)
@@ -130,6 +146,7 @@ func TestCertifiedSkipPreservesReports(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				opts := rc.options(prog, facts)
 
 				runOnce := func(certified bool) ([]race.Report, int64) {
 					detector := race.New()
@@ -141,14 +158,9 @@ func TestCertifiedSkipPreservesReports(t *testing.T) {
 						TrackDependencies: true,
 						DeadlockDetection: true,
 						Race:              detector,
-						Sched:             sched.Config{Quantum: 1000},
+						Sched:             sched.Config{Quantum: rc.quantum},
 					})
-					if _, err := interp.Run(rt, prog, interp.Options{
-						Rewritten:        true,
-						Tier:             tier,
-						OptCallThreshold: 1,
-						Out:              io.Discard,
-					}); err != nil {
+					if _, err := interp.Run(rt, prog, opts); err != nil {
 						t.Fatal(err)
 					}
 					return detector.Finalize(), detector.ChecksSkipped()
@@ -188,6 +200,17 @@ func TestCertifiedSkipPreservesReports(t *testing.T) {
 	if !sawSkips {
 		t.Error("property vacuous: no run skipped any certified checks")
 	}
+}
+
+// options prepares prog, analyzed as facts, for this configuration and
+// returns the interpreter options to run it with.
+func (rc runConfig) options(prog *bytecode.Program, facts *analysis.Facts) interp.Options {
+	opts := interp.Options{Rewritten: true, Tier: rc.tier, Out: io.Discard}
+	if rc.static {
+		rewrite.ApplyStaticElision(prog, facts)
+		opts.Facts = facts
+	}
+	return opts
 }
 
 func keys(m map[string]bool) []string {
