@@ -18,11 +18,9 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/interp"
-	"repro/internal/rewrite"
 	"repro/internal/sched"
 	"repro/revoke"
 )
@@ -96,24 +94,6 @@ func BenchmarkWriteBarrierLogging(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tk.WriteField(o, 0, heap.Word(i))
-			}
-		})
-	})
-	if err := rt.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkWriteBarrierLoggingTracked adds §2.2 dependency registration.
-func BenchmarkWriteBarrierLoggingTracked(b *testing.B) {
-	rt := core.New(core.Config{Mode: core.Revocation, NoCosts: true, TrackDependencies: true})
-	o := rt.Heap().AllocPlain("C", 64)
-	m := rt.NewMonitor("m")
-	rt.Spawn("w", sched.NormPriority, func(tk *core.Task) {
-		tk.Synchronized(m, func() {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tk.WriteField(o, i%64, heap.Word(i))
 			}
 		})
 	})
@@ -214,9 +194,9 @@ func BenchmarkElidedWriteBarrier(b *testing.B) {
 }
 
 // BenchmarkFlightRecorderAppend measures one steady-state flight-recorder
-// Emit — the per-event price of always-on recording. The bench gate holds
-// this under regression; the absolute budget (<50 ns/op, 0 allocs) is
-// pinned by TestFlightRecorderAppendBudget in internal/bench.
+// Emit — the per-event price of always-on recording. The absolute budget
+// (<50 ns/op, 0 allocs) is pinned by TestFlightRecorderAppendBudget in
+// internal/bench.
 func BenchmarkFlightRecorderAppend(b *testing.B) {
 	bench.FlightRecorderAppendBench(b)
 }
@@ -419,88 +399,14 @@ func BenchmarkBankWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkCompilerTiers compares the switch interpreter against the
-// compiled tier on a compute-heavy bytecode loop.
-func BenchmarkCompilerTiers(b *testing.B) {
-	src := `
-static acc = 0
-thread t priority 5 run main
-method main locals 1 {
-    const 2000
-    store 0
-  loop:
-    load 0
-    ifz done
-    getstatic acc
-    load 0
-    add
-    putstatic acc
-    load 0
-    const 1
-    sub
-    store 0
-    goto loop
-  done:
-    return
-}
-`
-	for _, tc := range []struct {
-		name string
-		tier interp.Tier
-	}{{"interpreter", interp.TierExec}, {"threaded", interp.TierThreaded}} {
-		b.Run(tc.name, func(b *testing.B) {
-			prog := bytecode.MustAssemble(src)
-			for i := 0; i < b.N; i++ {
-				rt := core.New(core.Config{Mode: core.Revocation, NoCosts: true})
-				if _, err := interp.Run(rt, prog.Clone(), interp.Options{Tier: tc.tier}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBarrierElision measures the §1.1 optimization: stores
-// in methods proven to run outside synchronized sections skip the barrier.
+// BenchmarkAblationBarrierElision measures the §1.1 optimization on the
+// elision path the VM ships (the rvmrun -static pipeline): the same
+// store-heavy program with every store barriered and with the certified
+// elision applied. Bodies in internal/bench/elision.go; only spawning and
+// the run are timed.
 func BenchmarkAblationBarrierElision(b *testing.B) {
-	src := `
-static acc = 0
-thread t priority 5 run main
-method main locals 1 {
-    const 3000
-    store 0
-  loop:
-    load 0
-    ifz done
-    load 0
-    putstatic acc
-    load 0
-    const 1
-    sub
-    store 0
-    goto loop
-  done:
-    return
-}
-`
-	for _, elide := range []bool{false, true} {
-		name := "barriers"
-		if elide {
-			name = "elided"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				prog := bytecode.MustAssemble(src)
-				if elide {
-					rewrite.ApplyElision(prog, nil)
-				}
-				rt := core.New(core.Config{Mode: core.Revocation, NoCosts: true})
-				if _, err := interp.Run(rt, prog, interp.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("barriers", bench.ElisionBenchBody(false, nil))
+	b.Run("elided", bench.ElisionBenchBody(true, nil))
 }
 
 // BenchmarkAblationDependencyTracking measures the cost of the §2.2 read

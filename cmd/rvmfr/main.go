@@ -8,11 +8,10 @@
 //	                                 wrapped ring is declared in the meta line)
 //	rvmfr perfetto [-o OUT] FILE     replay the window through the observer
 //	                                 and export a Perfetto/Chrome trace
-//	rvmfr merge [-json] [-o OUT] INPUT...
+//	rvmfr merge [-json] [-o OUT] FILE...
 //	                                 fleet SLO merge: aggregate the latency
-//	                                 distributions of many dumps and
-//	                                 results/BENCH_*.json trajectory files
-//	                                 into one p50/p99/p99.9 report
+//	                                 distributions of many dumps, replayed
+//	                                 exactly, into one p50/p99/p99.9 report
 //	rvmfr critpath FILE              build the happens-before DAG from the
 //	                                 window and print the critical-path
 //	                                 attribution (best-effort on wrapped
@@ -46,7 +45,7 @@ func usage(errw io.Writer) int {
   rvmfr events FILE                     event window, one line per event
   rvmfr jsonl [-o OUT] FILE             convert to rvm-trace JSONL
   rvmfr perfetto [-o OUT] FILE          convert to a Perfetto trace
-  rvmfr merge [-json] [-o OUT] INPUT... fleet SLO merge over dumps and BENCH files
+  rvmfr merge [-json] [-o OUT] FILE...  fleet SLO merge over dumps
   rvmfr critpath FILE                   critical-path attribution of the event window`)
 	return 2
 }

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/heap"
-	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -128,26 +127,8 @@ func RunCell(vm VM, p Params) (CellResult, error) {
 	return runCell(vm, p, nil, nil)
 }
 
-// RunCellObserved executes one cell with an obs.Observer attached via the
-// runtime's Observer option, returning the reconstruction (causal spans,
-// latency histograms) alongside the timing result. Observation perturbs
-// nothing: virtual time is unaffected by the extra sink.
-func RunCellObserved(vm VM, p Params) (CellResult, *obs.Observer, error) {
-	o := obs.NewObserver()
-	res, err := runCell(vm, p, o, nil)
-	return res, o, err
-}
-
-// RunCellProfiled executes one cell with the virtual-time profiler
-// attached via Config.Profiler, returning the profiler alongside the
-// timing result. Like observation, profiling never perturbs virtual time —
-// it only attributes the ticks the run would charge anyway.
-func RunCellProfiled(vm VM, p Params) (CellResult, *prof.Profiler, error) {
-	pr := prof.New()
-	res, err := runCell(vm, p, nil, pr)
-	return res, pr, err
-}
-
+// runCell is RunCell with an optional event sink (Config.Observer) and
+// virtual-time profiler attached; neither perturbs virtual time.
 func runCell(vm VM, p Params, observer trace.Sink, profiler *prof.Profiler) (CellResult, error) {
 	p.DefaultCosts()
 	mode := core.Unmodified

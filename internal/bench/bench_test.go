@@ -4,7 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/causal"
+	"repro/internal/fr"
+	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 func smallParams() Params {
@@ -28,6 +33,110 @@ func TestRunCellDeterministic(t *testing.T) {
 	}
 	if a.HighSpan != b.HighSpan || a.OverallSpan != b.OverallSpan || a.Stats != b.Stats {
 		t.Fatalf("cells differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestRunCellSinksNonPerturbing runs one contended cell bare and with each
+// instrumentation consumer attached through runCell. Every consumer is a
+// pure read — spans and Stats equal RunCell's — and what it recorded
+// reconciles with the runtime's own counters.
+func TestRunCellSinksNonPerturbing(t *testing.T) {
+	p := CellParams(ScaleSmall, true, Mix{2, 2}, 60)
+	plain, err := RunCell(Modified, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wasted := int64(plain.Stats.WastedTicks)
+	if wasted == 0 {
+		t.Fatal("the cell rolled back nothing, so the waste reconciliations prove nothing")
+	}
+	o := obs.NewObserver()
+	pr := prof.New()
+	rec := &trace.Recorder{}
+	ring := fr.New(fr.Config{Triggers: fr.DefaultTriggers()})
+	cases := []struct {
+		name  string
+		sink  trace.Sink
+		pr    *prof.Profiler
+		check func(t *testing.T)
+	}{
+		{"observer", o, nil, func(t *testing.T) {
+			if got := o.Metrics().RollbackWasted().Sum(); got != wasted {
+				t.Errorf("wasted reconciliation: histogram %d, stats %d", got, wasted)
+			}
+			if o.Dropped() != 0 {
+				t.Errorf("dropped = %d events", o.Dropped())
+			}
+		}},
+		{"profiler", nil, pr, func(t *testing.T) {
+			if got := pr.Total(prof.Waste); got != wasted {
+				t.Errorf("waste reconciliation: profile %d, stats %d", got, wasted)
+			}
+			if pr.Total(prof.Work) == 0 {
+				t.Error("no work ticks attributed")
+			}
+			if pr.Total(prof.Block) == 0 {
+				t.Error("a contended cell blocked no ticks")
+			}
+			// Per-thread attribution: every bench thread appears as a root.
+			roots := map[string]bool{}
+			for _, smp := range pr.Snapshot().Dims[prof.Work] {
+				roots[smp.Stack[len(smp.Stack)-1].Func] = true
+			}
+			for _, want := range []string{"high0", "high1", "low0", "low1"} {
+				if !roots[want] {
+					t.Errorf("no work attributed to thread %s (roots %v)", want, roots)
+				}
+			}
+		}},
+		{"trace_recorder", rec, nil, func(t *testing.T) {
+			events := rec.Events()
+			if len(events) == 0 {
+				t.Fatal("no events recorded")
+			}
+			g, err := causal.Build(events, causal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.CheckInvariant(); err != nil {
+				t.Fatalf("critical-path invariant: %v", err)
+			}
+			a, err := g.CriticalPath()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum simtime.Ticks
+			for _, ticks := range a.ClassTotals {
+				sum += ticks
+			}
+			if sum != g.FinalClock {
+				t.Errorf("class totals %d do not tile the makespan %d", sum, g.FinalClock)
+			}
+		}},
+		{"flight_recorder", ring, nil, func(t *testing.T) {
+			if ring.Len() == 0 {
+				t.Fatal("recorder captured no events")
+			}
+			events, err := ring.Events()
+			if err != nil {
+				t.Fatalf("ring decode: %v", err)
+			}
+			if len(events) != ring.Len() {
+				t.Errorf("decoded %d events, ring reports %d", len(events), ring.Len())
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := runCell(Modified, p, tc.sink, tc.pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.HighSpan != plain.HighSpan || res.OverallSpan != plain.OverallSpan || res.Stats != plain.Stats {
+				t.Fatalf("consumer perturbed the cell:\nplain    %+v\nattached %+v", plain, res)
+			}
+			tc.check(t)
+		})
 	}
 }
 

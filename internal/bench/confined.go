@@ -3,7 +3,8 @@
 // confined enter/exit pairs compiled to charge-only no-ops. The off/on
 // delta is what the escape analysis buys per synchronized section on a
 // thread-confined lock. Lives outside _test.go for the same reason as
-// micro.go: cmd/figures -json records both halves in the trajectory file.
+// micro.go: the root bench_test.go runs both halves and this package's
+// TestConfinedElisionSpeedsUpMonitors compares them.
 package bench
 
 import (

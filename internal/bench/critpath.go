@@ -1,125 +1,27 @@
-// Critical-path digests and the CritPathBuild benchmark: every
-// results/BENCH_*.json report records, per thread mix, where the makespan
-// of a representative revocation-VM cell actually went (work / waste /
-// block / sched on the critical path) and which monitors sit on it —
-// the exact-causal-profile counterpart of the Profiler digest's raw
-// contention histogram. CritPathBuild times the DAG construction plus
-// path extraction over a pre-recorded stream and is gated in CI.
+// The CritPathBuild benchmark: DAG construction plus critical-path
+// extraction over a pre-recorded cell stream — the post-processing a
+// -critpath run adds after the program finishes.
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/causal"
 	"repro/internal/trace"
 )
 
-// CritMonitor is one monitor's attributed ticks in a report digest.
-type CritMonitor struct {
-	Monitor string `json:"monitor"`
-	Ticks   int64  `json:"ticks"`
-}
-
-// CritPathResult is the critical-path digest of one cell.
-type CritPathResult struct {
-	Name   string `json:"name"`
-	VM     string `json:"vm"`
-	Events int    `json:"events"`
-	// FinalClock is the cell's makespan; the class totals below tile it
-	// exactly (the grand invariant: longest DAG path == final clock).
-	FinalClock int64 `json:"final_clock"`
-	WorkTicks  int64 `json:"work_ticks"`
-	WasteTicks int64 `json:"waste_ticks"`
-	BlockTicks int64 `json:"block_ticks"`
-	SleepTicks int64 `json:"sleep_ticks"`
-	SchedTicks int64 `json:"sched_ticks"`
-	// TopCritical ranks monitors by blocked ticks ON the critical path;
-	// TopRaw by blocked ticks across all threads. When the two disagree,
-	// the contention histogram is pointing the optimization effort at the
-	// wrong lock.
-	TopCritical []CritMonitor `json:"top_critical,omitempty"`
-	TopRaw      []CritMonitor `json:"top_raw,omitempty"`
-}
-
-// RunCellTraced executes one cell with a trace recorder attached,
-// returning the full event stream alongside the timing result.
-func RunCellTraced(vm VM, p Params) (CellResult, []trace.Event, error) {
-	rec := &trace.Recorder{}
-	res, err := runCell(vm, p, rec, nil)
-	return res, rec.Events(), err
-}
-
-// attributeCell builds the happens-before DAG for one recorded cell,
-// checks the grand invariant, and digests the critical path.
-func attributeCell(name string, events []trace.Event) (CritPathResult, error) {
-	g, err := causal.Build(events, causal.Options{})
-	if err != nil {
-		return CritPathResult{}, err
-	}
-	if err := g.CheckInvariant(); err != nil {
-		return CritPathResult{}, fmt.Errorf("bench: %s: critical-path invariant: %w", name, err)
-	}
-	a, err := g.CriticalPath()
-	if err != nil {
-		return CritPathResult{}, err
-	}
-	digest := func(ms []causal.MonitorTicks) []CritMonitor {
-		out := make([]CritMonitor, 0, len(ms))
-		for _, m := range ms {
-			out = append(out, CritMonitor{Monitor: m.Monitor, Ticks: int64(m.Ticks)})
-		}
-		return out
-	}
-	return CritPathResult{
-		Name:        name,
-		VM:          Modified.String(),
-		Events:      len(events),
-		FinalClock:  int64(g.FinalClock),
-		WorkTicks:   int64(a.ClassTotals[causal.Work]),
-		WasteTicks:  int64(a.ClassTotals[causal.Waste]),
-		BlockTicks:  int64(a.ClassTotals[causal.Block]),
-		SleepTicks:  int64(a.ClassTotals[causal.Sleep]),
-		SchedTicks:  int64(a.ClassTotals[causal.Sched]),
-		TopCritical: digest(a.TopCritical(3)),
-		TopRaw:      digest(a.TopRaw(3)),
-	}, nil
-}
-
-// RunCritPath records one representative revocation-VM cell per thread mix
-// (write ratio 40 %, ScaleSmall — the RunProfiled cells) and attributes
-// its critical path. progress, if non-nil, sees each digest as it lands.
-func RunCritPath(progress func(CritPathResult)) ([]CritPathResult, error) {
-	var out []CritPathResult
-	for _, mix := range Mixes {
-		p := CellParams(ScaleSmall, true, mix, 40)
-		_, events, err := RunCellTraced(Modified, p)
-		if err != nil {
-			return nil, fmt.Errorf("bench: critpath cell %v: %w", mix, err)
-		}
-		res, err := attributeCell(fmt.Sprintf("CritPath/%dhigh%dlow_w40", mix.High, mix.Low), events)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-		if progress != nil {
-			progress(res)
-		}
-	}
-	return out, nil
-}
-
 // CritPathBuildBench times DAG construction + invariant check + critical
 // path extraction over a pre-recorded event stream (the first thread mix's
 // cell; the recording happens once, outside the timed loop). This is the
 // cost a -critpath run adds AFTER the program finishes — the run itself is
-// unperturbed — so the gate guards post-processing latency, not VM speed.
+// unperturbed — so it prices post-processing latency, not VM speed.
 func CritPathBuildBench(b *testing.B) {
 	p := CellParams(ScaleSmall, true, Mixes[0], 40)
-	_, events, err := RunCellTraced(Modified, p)
-	if err != nil {
+	rec := &trace.Recorder{}
+	if _, err := runCell(Modified, p, rec, nil); err != nil {
 		b.Fatal(err)
 	}
+	events := rec.Events()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := causal.Build(events, causal.Options{})

@@ -1,8 +1,9 @@
 // Static-elision benchmark: the same store-heavy program executed on the
 // revocation VM with every store barriered versus with the
 // internal/analysis elision applied, quantifying what the §1.1 static
-// optimisation buys end-to-end. Lives outside _test.go for the same reason
-// as micro.go: cmd/figures -json records it in the trajectory file.
+// optimisation buys end-to-end. Lives outside _test.go so the root
+// BenchmarkAblationBarrierElision and this package's smoke test run the
+// same body.
 package bench
 
 import (
@@ -74,10 +75,13 @@ method hot locals 1 {
 `
 
 // ElisionBenchBody returns a benchmark body that runs the program
-// end-to-end b.N times. With static=true the rewritten program is analyzed
-// and elided first (outside the timed region); counts, when non-nil, is
-// filled with the analysis and runtime store statistics of the last run so
-// the report records how many barriers the build removed.
+// end-to-end b.N times: with static=false through the rewriter alone (every
+// store barriered), with static=true through the rvmrun -static pipeline
+// (analysis, certified elision, Facts handed to the interpreter). Only
+// spawning the declared threads and rt.Run are timed; each iteration's
+// fresh runtime and interp.NewEnv — whose load-time gate re-derives every
+// certificate — are built with the timer stopped. counts, when non-nil, is
+// filled with the analysis and runtime store statistics of the last run.
 func ElisionBenchBody(static bool, counts map[string]int64) func(b *testing.B) {
 	return func(b *testing.B) {
 		prog, err := rewrite.Rewrite(bytecode.MustAssemble(elisionBenchProgram))
@@ -95,13 +99,22 @@ func ElisionBenchBody(static bool, counts map[string]int64) func(b *testing.B) {
 		var st core.Stats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
 			rt := core.New(core.Config{
 				Mode: core.Revocation, NoCosts: true,
 				Sched: sched.Config{Quantum: 1 << 40},
 			})
-			if _, err := interp.Run(rt, prog, interp.Options{
+			env, err := interp.NewEnv(rt, prog, interp.Options{
 				Rewritten: true, Facts: facts, Out: io.Discard,
-			}); err != nil {
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := env.SpawnDeclaredThreads(); err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Run(); err != nil {
 				b.Fatal(err)
 			}
 			st = rt.Stats()

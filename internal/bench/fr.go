@@ -1,8 +1,9 @@
 // Flight-recorder benchmark bodies: the steady-state cost of one ring
 // append (the price every event pays when the recorder is always on) and a
 // whole-cell pair running the same contended workload with the recorder
-// attached and detached. The append bound is gated — the recorder's entire
-// value proposition is that it is cheap enough to never turn off.
+// attached and detached. The append cost is held to a budget
+// (TestFlightRecorderAppendBudget) — the recorder's entire value
+// proposition is that it is cheap enough to never turn off.
 package bench
 
 import (
@@ -48,7 +49,7 @@ func FlightRecorderAppendBench(b *testing.B) {
 // FlightRecorderCellBench returns a benchmark body running one contended
 // Figure-5-style cell (2 high + 8 low, 40 % writes) on the modified VM,
 // with the flight recorder attached (on) or with no sink at all (off). The
-// off/on pair in a BENCH report is the recorder's whole-run overhead.
+// off/on delta is the recorder's whole-run overhead.
 func FlightRecorderCellBench(on bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		p := CellParams(ScaleSmall, true, Mix{High: 2, Low: 8}, 40)

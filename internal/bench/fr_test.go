@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/fr"
-)
+import "testing"
 
 // TestFlightRecorderAppendBudget pins the recorder's headline contract: a
 // steady-state append stays allocation-free and under 50 ns. The
@@ -28,35 +24,5 @@ func TestFlightRecorderAppendBudget(t *testing.T) {
 	}
 	if best.NsPerOp >= budgetNs {
 		t.Errorf("steady-state append too slow: %.1f ns/op, budget %.0f", best.NsPerOp, budgetNs)
-	}
-}
-
-// TestFlightRecorderCellNonPerturbing runs the contended 2+8 cell bare and
-// with the recorder attached: virtual-time results must be identical (the
-// recorder is a pure observer) and the ring must actually hold the run's
-// tail. This is the correctness half of the off/on overhead pair.
-func TestFlightRecorderCellNonPerturbing(t *testing.T) {
-	p := CellParams(ScaleSmall, true, Mix{High: 2, Low: 8}, 40)
-	bare, err := runCell(Modified, p, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := fr.New(fr.Config{Triggers: fr.DefaultTriggers()})
-	observed, err := runCell(Modified, p, rec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.HighSpan != observed.HighSpan || bare.OverallSpan != observed.OverallSpan || bare.Stats != observed.Stats {
-		t.Errorf("recorder perturbed the cell:\nbare     %+v\nobserved %+v", bare, observed)
-	}
-	if rec.Len() == 0 {
-		t.Error("recorder captured no events")
-	}
-	events, err := rec.Events()
-	if err != nil {
-		t.Fatalf("ring decode: %v", err)
-	}
-	if len(events) != rec.Len() {
-		t.Errorf("decoded %d events, ring reports %d", len(events), rec.Len())
 	}
 }

@@ -1,8 +1,6 @@
 // Micro-benchmark bodies for the barrier fast path. They live here (not in
-// a _test.go file) so both the internal/core benchmark suite and the
-// cmd/figures -json emitter can run the same code: the former via go test
-// -bench, the latter via testing.Benchmark when recording a results/BENCH_*
-// trajectory file.
+// a _test.go file) so the internal/core benchmark suite and the root
+// bench_test.go run the same code through go test -bench.
 package bench
 
 import (

@@ -1,7 +1,6 @@
 // Micro-benchmark bodies for the compact lock word and the compiled
-// tier. Like micro.go, they live outside _test.go files so the go test
-// suite (bench_test.go at the repo root) and the cmd/figures -json emitter
-// run the same code.
+// tier. Like micro.go, they live outside _test.go files so the root
+// bench_test.go and this package's budget tests run the same code.
 package bench
 
 import (

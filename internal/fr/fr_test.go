@@ -381,6 +381,9 @@ func TestSyncRecorderConcurrentSnapshot(t *testing.T) {
 	}
 }
 
+// TestFleetMergeDumpsAndBench merges two dumps exactly and checks that a
+// BENCH-style JSON report array, which the merge no longer reads, is
+// rejected with an error naming its path.
 func TestFleetMergeDumpsAndBench(t *testing.T) {
 	dir := t.TempDir()
 
@@ -408,44 +411,22 @@ func TestFleetMergeDumpsAndBench(t *testing.T) {
 	p1 := writeDump("a.rvmfr", 10)
 	p2 := writeDump("b.rvmfr", 30)
 
-	// One BENCH report array with a 2-sample blocking digest.
-	bench := `[{"label":"x","date":"2026-08-08","latency":[{"name":"cell","vm":"modified",
-	  "blocking_per_thread":{"t1":{"count":2,"sum":40,"min":15,"max":25,"p50":15,"p90":25,"p99":25,"p999":25}},
-	  "rollback_wasted":{"count":1,"sum":7,"min":7,"max":7,"p50":7,"p90":7,"p99":7,"p999":7}}]}]`
-	p3 := dir + "/BENCH_test.json"
-	if err := writeFile(p3, []byte(bench)); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := MergeFleet([]string{p1, p2, p3})
+	rep, err := MergeFleet([]string{p1, p2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DumpCount != 2 || rep.BenchCount != 1 {
-		t.Fatalf("counts: %d dumps, %d bench", rep.DumpCount, rep.BenchCount)
+	if rep.DumpCount != 2 {
+		t.Fatalf("counts: %d dumps, want 2", rep.DumpCount)
 	}
 	blocking, ok := rep.Series["blocking"]
 	if !ok {
 		t.Fatal("no blocking series")
 	}
-	if blocking.Count != 4 {
-		t.Fatalf("blocking count %d, want 4 (2 dump samples + 2 digest samples)", blocking.Count)
+	if blocking.Count != 2 || blocking.Sum != 10+30 || blocking.Max != 30 || blocking.Sources != 2 {
+		t.Fatalf("blocking series %+v, want 2 samples from 2 dumps summing to 40, max 30", blocking)
 	}
-	if blocking.Sum != 10+30+40 {
-		t.Fatalf("blocking sum %d, want 80 (exact sums)", blocking.Sum)
-	}
-	if !blocking.Approximate {
-		t.Fatal("series with digest inputs must be marked approximate")
-	}
-	if blocking.Max != 30 && blocking.Max != 25 {
-		t.Fatalf("blocking max %d not from any input", blocking.Max)
-	}
-	hold := rep.Series["hold"]
-	if hold.Approximate {
-		t.Fatal("hold series has only dump samples; must stay exact")
-	}
-	if hold.Count != 2 {
-		t.Fatalf("hold count %d, want 2", hold.Count)
+	if hold := rep.Series["hold"]; hold.Count != 2 || hold.Sum != 5+5 {
+		t.Fatalf("hold series %+v, want 2 samples summing to 10", hold)
 	}
 
 	var buf bytes.Buffer
@@ -462,8 +443,18 @@ func TestFleetMergeDumpsAndBench(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Series["blocking"].Count != 4 {
+	if back.Series["blocking"].Count != 2 {
 		t.Fatal("JSON round trip lost series")
+	}
+
+	bench := `[{"label":"x","date":"2026-08-08","latency":[{"name":"cell","vm":"modified",
+	  "blocking_per_thread":{"t1":{"count":2,"sum":40,"min":15,"max":25,"p50":15,"p90":25,"p99":25,"p999":25}}}]}]`
+	p3 := dir + "/trajectory.json"
+	if err := writeFile(p3, []byte(bench)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeFleet([]string{p1, p3}); err == nil || !strings.Contains(err.Error(), p3) {
+		t.Fatalf("JSON input: err = %v, want a rejection naming %s", err, p3)
 	}
 }
 
