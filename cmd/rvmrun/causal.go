@@ -9,7 +9,6 @@ import (
 	"repro/internal/causal"
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/prof"
 	"repro/internal/rewrite"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -125,18 +124,11 @@ func whatifRunner(o causalCLIOpts) causal.RunFn {
 			}
 			rewrite.ApplyStaticElision(prog, facts)
 		}
-		var profiler *prof.Profiler
-		if p != nil && len(p.Scale) > 0 {
-			// Site scaling resolves (method, pc) through the profiler's
-			// call-stack mirror; attach a throwaway one.
-			profiler = prof.New()
-		}
 		rt := core.New(core.Config{
 			Mode:              o.mode,
 			TrackDependencies: true,
 			DeadlockDetection: o.mode == core.Revocation,
 			Perturb:           p,
-			Profiler:          profiler,
 			Sched: sched.Config{
 				Quantum:    simtime.Ticks(o.quantum),
 				Seed:       o.seed,

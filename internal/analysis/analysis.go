@@ -196,8 +196,8 @@ type Facts struct {
 // Analyze runs every pass over p. The program must verify (Analyze runs
 // bytecode.Verify itself and returns its error otherwise). p is not
 // modified; Facts keyed by method name and pc remain valid for any clone
-// with identical code, including the same program after ApplyElision
-// rewrites stores to their raw forms.
+// with identical code, including the same program after
+// rewrite.ApplyStaticElision rewrites stores to their raw forms.
 func Analyze(p *bytecode.Program) (*Facts, error) {
 	if err := bytecode.Verify(p); err != nil {
 		return nil, err
@@ -257,7 +257,7 @@ func (f *Facts) ElidableStore(method string, pc int) bool {
 // StoreNeverHeld reports whether the store at (method, pc) is elidable by
 // the never-executes-held proof alone. Unlike ElidableStore it never relies
 // on target freshness, so it is sound even when the runtime does not log
-// allocations (the legacy rewrite.ApplyElision path).
+// allocations.
 func (f *Facts) StoreNeverHeld(method string, pc int) bool {
 	return f.neverHeld[Pos{method, pc}]
 }
@@ -267,29 +267,6 @@ func (f *Facts) StoreNeverHeld(method string, pc int) bool {
 func (f *Facts) MayRunHeld(method string) bool {
 	mi, ok := f.methods[method]
 	return ok && mi.mayRunHeld
-}
-
-// MethodElidable reports whether every store in the named method can never
-// execute while a monitor is held (the coarse, method-level view
-// rewrite.BarrierAnalysis exposes; fresh-target proofs are deliberately
-// excluded because they need the runtime's allocation logging).
-func (f *Facts) MethodElidable(method string) bool {
-	mi, ok := f.methods[method]
-	if !ok {
-		return false
-	}
-	for pc, in := range mi.m.Code {
-		switch in.Op {
-		case bytecode.PUTFIELD, bytecode.PUTSTATIC, bytecode.ASTORE:
-			if mi.depth[pc] < 0 {
-				continue
-			}
-			if !f.neverHeld[Pos{method, pc}] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // NonRevocableSections counts the statically non-revocable sections.

@@ -304,7 +304,7 @@ method free locals 1 {
 	if f.TotalStores != 1 || f.ElidableStores != 1 || f.NeverHeldStores != 1 {
 		t.Fatalf("counts = total %d elidable %d neverHeld %d", f.TotalStores, f.ElidableStores, f.NeverHeldStores)
 	}
-	if !f.MethodElidable("free") || !f.StoreNeverHeld("free", 4) {
+	if !f.StoreNeverHeld("free", 4) {
 		t.Fatalf("free not elidable: %+v", f)
 	}
 
@@ -318,7 +318,7 @@ method caller locals 1 {
     return
 }
 `)
-	if f2.MethodElidable("free") || f2.StoreNeverHeld("free", 4) {
+	if f2.StoreNeverHeld("free", 4) {
 		t.Fatal("free still never-held though invoked from a section")
 	}
 	if !f2.MayRunHeld("free") {
@@ -434,9 +434,9 @@ method stale locals 2 {
 	if f.FreshStores != 1 || f.NeverHeldStores != 0 {
 		t.Fatalf("fresh=%d neverHeld=%d, want 1/0", f.FreshStores, f.NeverHeldStores)
 	}
-	// Method-level elision must reject both: it may not rely on freshness.
-	if f.MethodElidable("freshstore") || f.MethodElidable("stale") {
-		t.Fatal("MethodElidable used a fresh-target proof")
+	// The never-held proof must reject both: it may not rely on freshness.
+	if f.StoreNeverHeld("freshstore", freshPC) || f.StoreNeverHeld("stale", stalePC) {
+		t.Fatal("StoreNeverHeld used a fresh-target proof")
 	}
 }
 
@@ -595,7 +595,7 @@ method Point.set synchronized args 2 locals 2 {
 	if !s.SyncMethod || !s.NonRevocable || s.Lock != "recv:Point.set" {
 		t.Fatalf("synthetic section = %+v", s)
 	}
-	if f.MethodElidable("Point.set") || f.ElidableStore("Point.set", 2) {
+	if f.StoreNeverHeld("Point.set", 2) || f.ElidableStore("Point.set", 2) {
 		t.Fatal("store in synchronized method elided")
 	}
 }

@@ -8,15 +8,9 @@
 package bench
 
 import (
-	"io"
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/bytecode"
-	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/rewrite"
-	"repro/internal/sched"
 )
 
 // confinedMonitorPairs is the number of enter+exit pairs one program run
@@ -60,40 +54,13 @@ method main locals 2 {
 // facts (every monitorenter takes the real thin-lock path); elided=true
 // runs the rvmrun -static pipeline, whose certified confinement proof
 // compiles both halves of every pair to charge-only no-ops. Each
-// iteration is one full program run on the compiled tier; the ns/op
+// iteration is one full program run on the compiled tier (timedRuns, so
+// the elided arm's certificate re-derivation stays untimed); the ns/op
 // metric is per monitor operation.
 func ConfinedMonitorEnterExitBench(elided bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		prog, err := rewrite.Rewrite(bytecode.MustAssemble(confinedMonitorProgram))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var facts *analysis.Facts
-		if elided {
-			facts, err = analysis.Analyze(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rewrite.ApplyStaticElision(prog, facts)
-		}
-		var st core.Stats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt := core.New(core.Config{
-				Mode: core.Revocation, NoCosts: true,
-				Sched: sched.Config{Quantum: 1 << 40},
-			})
-			if _, err := interp.Run(rt, prog, interp.Options{
-				Rewritten: true,
-				Tier:      interp.TierThreaded,
-				Facts:     facts,
-				Out:       io.Discard,
-			}); err != nil {
-				b.Fatal(err)
-			}
-			st = rt.Stats()
-		}
-		b.StopTimer()
+		prog, facts := loadProgram(b, confinedMonitorProgram, elided)
+		st := timedRuns(b, prog, facts, interp.TierThreaded)
 		// The two halves must actually take the paths they claim to price.
 		if elided && st.ConfinedElisions != 2*confinedMonitorPairs {
 			b.Fatalf("elided run executed %d confined no-ops, want %d", st.ConfinedElisions, 2*confinedMonitorPairs)

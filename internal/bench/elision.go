@@ -74,52 +74,70 @@ method hot locals 1 {
 }
 `
 
-// ElisionBenchBody returns a benchmark body that runs the program
-// end-to-end b.N times: with static=false through the rewriter alone (every
-// store barriered), with static=true through the rvmrun -static pipeline
-// (analysis, certified elision, Facts handed to the interpreter). Only
-// spawning the declared threads and rt.Run are timed; each iteration's
-// fresh runtime and interp.NewEnv — whose load-time gate re-derives every
-// certificate — are built with the timer stopped. counts, when non-nil, is
-// filled with the analysis and runtime store statistics of the last run.
-func ElisionBenchBody(static bool, counts map[string]int64) func(b *testing.B) {
-	return func(b *testing.B) {
-		prog, err := rewrite.Rewrite(bytecode.MustAssemble(elisionBenchProgram))
+// loadProgram assembles and rewrites src; with static set it also runs the
+// rvmrun -static pipeline's analysis and certified elision, returning the
+// facts execution must carry.
+func loadProgram(b *testing.B, src string, static bool) (*bytecode.Program, *analysis.Facts) {
+	prog, err := rewrite.Rewrite(bytecode.MustAssemble(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var facts *analysis.Facts
+	if static {
+		facts, err = analysis.Analyze(prog)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var facts *analysis.Facts
-		if static {
-			facts, err = analysis.Analyze(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rewrite.ApplyStaticElision(prog, facts)
-		}
-		var st core.Stats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			rt := core.New(core.Config{
-				Mode: core.Revocation, NoCosts: true,
-				Sched: sched.Config{Quantum: 1 << 40},
-			})
-			env, err := interp.NewEnv(rt, prog, interp.Options{
-				Rewritten: true, Facts: facts, Out: io.Discard,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if err := env.SpawnDeclaredThreads(); err != nil {
-				b.Fatal(err)
-			}
-			if err := rt.Run(); err != nil {
-				b.Fatal(err)
-			}
-			st = rt.Stats()
-		}
+		rewrite.ApplyStaticElision(prog, facts)
+	}
+	return prog, facts
+}
+
+// timedRuns runs prog end-to-end b.N times on the revocation VM, with the
+// rewritten program's rollback scopes, the given facts and tier. Only
+// spawning the declared threads and rt.Run are timed: each iteration's
+// fresh runtime and interp.NewEnv — whose load-time gate re-derives every
+// certificate when facts are set — are built with the timer stopped, so an
+// arm with facts pays nothing the arm without them does not. It returns
+// the last run's statistics.
+func timedRuns(b *testing.B, prog *bytecode.Program, facts *analysis.Facts, tier interp.Tier) core.Stats {
+	var st core.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		rt := core.New(core.Config{
+			Mode: core.Revocation, NoCosts: true,
+			Sched: sched.Config{Quantum: 1 << 40},
+		})
+		env, err := interp.NewEnv(rt, prog, interp.Options{
+			Rewritten: true, Tier: tier, Facts: facts, Out: io.Discard,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := env.SpawnDeclaredThreads(); err != nil {
+			b.Fatal(err)
+		}
+		if err := rt.Run(); err != nil {
+			b.Fatal(err)
+		}
+		st = rt.Stats()
+	}
+	b.StopTimer()
+	return st
+}
+
+// ElisionBenchBody returns a benchmark body that runs the program
+// end-to-end b.N times (timedRuns) on the exec tier: with static=false
+// through the rewriter alone (every store barriered), with static=true
+// through the rvmrun -static pipeline (analysis, certified elision, Facts
+// handed to the interpreter). counts, when non-nil, is filled with the
+// analysis and runtime store statistics of the last run.
+func ElisionBenchBody(static bool, counts map[string]int64) func(b *testing.B) {
+	return func(b *testing.B) {
+		prog, facts := loadProgram(b, elisionBenchProgram, static)
+		st := timedRuns(b, prog, facts, interp.TierExec)
 		if counts != nil {
 			counts["entries_logged"] = st.EntriesLogged
 			counts["raw_stores"] = st.RawStores

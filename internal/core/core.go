@@ -161,8 +161,11 @@ type Config struct {
 	// (internal/prof): every tick a thread charges is attributed to its
 	// current (method, pc) site, with rollback reclassifying the retracted
 	// ticks from work to waste and blocking charged against the contended
-	// monitor. A nil Profiler adds no cost: all hooks sit behind a nil
-	// check, the same contract as Race and Observer.
+	// monitor. The profiler is a trace.Sink, first in the event fan-out
+	// ahead of Tracer and Observer, and takes sections, waits, blocking and
+	// scheduler overhead from the stream; the runtime calls it directly only
+	// to charge ticks. A nil Profiler adds no cost: the charge sits behind a
+	// nil check, the same contract as Race and Observer.
 	Profiler *prof.Profiler
 
 	// OnDeadlock, when non-nil, attaches the wait-for-graph observer:
@@ -194,7 +197,8 @@ type Config struct {
 	// causal profiler (internal/causal): per-site Work scaling, the
 	// zero-contention override, and per-monitor revocation disabling. The
 	// VM's determinism makes a perturbed re-execution exact, so the clock
-	// delta against the baseline is the true virtual speedup. A nil (or
+	// delta against the baseline is the true virtual speedup. Site scaling
+	// keys on the task's site register, so it needs no profiler. A nil (or
 	// empty) Perturb adds no cost: all hooks sit behind nil checks, the
 	// same contract as Race, Observer and Profiler.
 	Perturb *Perturb
@@ -216,15 +220,24 @@ func (c *Config) fill() {
 	if c.CostUndoEntry == 0 {
 		c.CostUndoEntry = 1
 	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Discard
+	// One fan-out: the profiler first, so that consumers of the same event
+	// (a flight-recorder dump's profile digest) see its accounting applied.
+	var sinks trace.Multi
+	if c.Profiler != nil {
+		sinks = append(sinks, c.Profiler)
 	}
-	if c.Observer != nil {
-		if c.Tracer == trace.Discard {
-			c.Tracer = c.Observer
-		} else {
-			c.Tracer = trace.Multi{c.Tracer, c.Observer}
+	for _, s := range []trace.Sink{c.Tracer, c.Observer} {
+		if s != nil && s != trace.Discard {
+			sinks = append(sinks, s)
 		}
+	}
+	switch len(sinks) {
+	case 0:
+		c.Tracer = trace.Discard
+	case 1:
+		c.Tracer = sinks[0]
+	default:
+		c.Tracer = sinks
 	}
 	if c.Sched.Tracer == nil {
 		c.Sched.Tracer = c.Tracer
@@ -285,6 +298,11 @@ type Runtime struct {
 	lastDetectScan simtime.Ticks
 	scaleRem       map[Site]int64 // Perturb.Scale per-site remainders
 
+	// sites is set when some consumer reads the tasks' site registers: the
+	// race sanitizer, the profiler, the wait-for-graph observer, or
+	// Perturb.Scale. The interpreter stamps them only then.
+	sites bool
+
 	// noDedup disables first-write-wins undo logging, forcing one log entry
 	// per store as in the paper's unoptimized barrier. Test-only: the
 	// rollback-equivalence property runs identical programs with and without
@@ -306,15 +324,10 @@ func New(cfg Config) *Runtime {
 		tasks:   make(map[int]*Task),
 		objMons: make(map[*heap.Object]*monitor.Monitor),
 		waiting: make(map[*Task]*monitor.Monitor),
+		sites:   cfg.Race != nil || cfg.Profiler != nil || cfg.OnDeadlock != nil || (cfg.Perturb != nil && len(cfg.Perturb.Scale) > 0),
 	}
 	if cfg.Race != nil {
 		cfg.Race.Bind(hp, rt.tracer, rt.sch.Now)
-	}
-	if cfg.Profiler != nil {
-		p := cfg.Profiler
-		p.SetClock(rt.sch.Now)
-		rt.sch.OnSwitchCost = func(d simtime.Ticks) { p.SchedTick("context-switch", d) }
-		rt.sch.OnIdle = func(d simtime.Ticks) { p.SchedTick("idle", d) }
 	}
 	if cfg.Mode == Revocation && (cfg.Detect == DetectPeriodic || cfg.Detect == DetectBoth) {
 		period := cfg.DetectPeriod
@@ -345,6 +358,10 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Mode returns the runtime's VM mode.
 func (rt *Runtime) Mode() Mode { return rt.cfg.Mode }
+
+// NeedsSites reports whether any consumer reads the tasks' site registers,
+// so an engine must stamp them (Task.SetSite) before every instruction.
+func (rt *Runtime) NeedsSites() bool { return rt.sites }
 
 // NewMonitor creates a standalone named monitor.
 func (rt *Runtime) NewMonitor(name string) *monitor.Monitor {
@@ -381,7 +398,7 @@ func (rt *Runtime) Monitors() []*monitor.Monitor { return rt.monitors }
 func (rt *Runtime) Spawn(name string, prio sched.Priority, body func(*Task)) *Task {
 	task := &Task{rt: rt, log: undo.NewLog(64)}
 	if rt.cfg.Profiler != nil {
-		task.tp = rt.cfg.Profiler.Thread(name)
+		task.tp = rt.cfg.Profiler.Thread(name, &task.site.PC)
 	}
 	task.th = rt.sch.Spawn(name, prio, func(th *sched.Thread) {
 		body(task)
@@ -492,26 +509,21 @@ type Task struct {
 	rollbacks    int64
 	reexecutions int64
 
-	// lockMethod/lockPC name the bytecode site of the next monitor
-	// acquisition for the wait-for-graph observer (set by the interpreter
-	// via SetLockSite; empty for Go-level acquisitions).
-	lockMethod string
-	lockPC     int
+	// site is the task's bytecode-site register: the method and pc of the
+	// instruction executing now, stamped by the interpreter via SetSite
+	// when Runtime.NeedsSites (zero for Go-level tasks). The race
+	// sanitizer's reports, the profiler's attribution, the wait-for-graph
+	// observer's edges and Perturb.Scale's lookups all read it.
+	site Site
 	// acqSites records, per currently-held monitor, the site that acquired
 	// it — populated only when Config.OnDeadlock is set, so the observer's
 	// cycle reports can name every edge's monitorenter.
 	acqSites map[*monitor.Monitor]string
 
-	// raceMethod/racePC name the bytecode site of the next barriered access
-	// for the race sanitizer (set by the interpreter via SetRaceSite; empty
-	// for Go-level API accesses).
-	raceMethod string
-	racePC     int
-
 	// tp is the task's virtual-time profiler handle (nil when
-	// Config.Profiler is nil). The interpreter maintains its call stack
-	// and pc via SetProfSite/ProfPush/ProfPopTo; Go-level tasks profile
-	// under the thread root alone.
+	// Config.Profiler is nil). It reads the pc from the site register; the
+	// interpreter mirrors its call stack via ProfPush/ProfPopTo, and
+	// Go-level tasks profile under the thread root alone.
 	tp *prof.ThreadProf
 }
 
@@ -544,15 +556,26 @@ func (t *Task) finish() {
 	}
 }
 
+// charge advances the clock by d ticks of the task's CPU and attributes
+// them to its current site when profiling. Every tick a task consumes —
+// instruction and barrier costs, undo-log entries, the undo replay — goes
+// through it; NoCosts turns all of them off.
+func (t *Task) charge(d simtime.Ticks) {
+	if t.rt.cfg.NoCosts {
+		return
+	}
+	t.th.Advance(d)
+	if t.tp != nil {
+		t.tp.Tick(t.rt.sch.Now(), d)
+	}
+}
+
 // step charges cost ticks, passes a yield point, and delivers any pending
 // revocation. Every shared-data operation calls it, making each operation a
 // yield point exactly as the paper's compiler arranges.
 func (t *Task) step(cost simtime.Ticks) {
-	if !t.rt.cfg.NoCosts {
-		t.th.Advance(cost)
-		if t.tp != nil {
-			t.tp.Tick(cost)
-		}
+	if !t.rt.cfg.NoCosts { // spares NoCosts micro-benchmarks the call
+		t.charge(cost)
 	}
 	t.th.YieldPoint()
 	if t.revokeReq != nil {
@@ -573,7 +596,7 @@ func (t *Task) Step(cost simtime.Ticks) { t.step(cost) }
 // Work charges n ticks of thread-local computation (no logging, no
 // barriers), passing yield points along the way.
 func (t *Task) Work(n simtime.Ticks) {
-	if p := t.rt.cfg.Perturb; p != nil && len(p.Scale) > 0 && t.tp != nil {
+	if p := t.rt.cfg.Perturb; p != nil && len(p.Scale) > 0 {
 		scaled, applied := t.rt.scaleWork(t, n)
 		if applied {
 			if scaled <= 0 {
@@ -649,17 +672,6 @@ func (t *Task) sectionMark() undo.Mark {
 	return t.frames[len(t.frames)-1].logMark
 }
 
-// chargeLogEntry charges the write-barrier slow path (one appended undo
-// entry); deduped stores skip it, which is the §3.1.2 cost the dedup saves.
-func (t *Task) chargeLogEntry() {
-	if !t.rt.cfg.NoCosts {
-		t.th.Advance(t.rt.cfg.CostLogEntry)
-		if t.tp != nil {
-			t.tp.Tick(t.rt.cfg.CostLogEntry)
-		}
-	}
-}
-
 // logObjectStore logs the pre-store value of (o, idx), deduped unless the
 // runtime's test-only noDedup knob is set; it reports whether an entry was
 // appended.
@@ -694,7 +706,7 @@ func (t *Task) WriteField(o *heap.Object, idx int, v heap.Word) {
 	t.step(t.rt.cfg.CostWrite)
 	if t.logging() {
 		if t.logObjectStore(o, idx) {
-			t.chargeLogEntry()
+			t.charge(t.rt.cfg.CostLogEntry) // the slow path; deduped stores skip it (§3.1.2)
 			if t.rt.cfg.TrackDependencies {
 				t.rt.spec.RegisterObject(o, idx, t.spanRef())
 			}
@@ -735,7 +747,7 @@ func (t *Task) WriteElem(a *heap.Array, idx int, v heap.Word) {
 	t.step(t.rt.cfg.CostWrite)
 	if t.logging() {
 		if t.logArrayStore(a, idx) {
-			t.chargeLogEntry()
+			t.charge(t.rt.cfg.CostLogEntry) // the slow path; deduped stores skip it (§3.1.2)
 			if t.rt.cfg.TrackDependencies {
 				t.rt.spec.RegisterArray(a, idx, t.spanRef())
 			}
@@ -766,7 +778,7 @@ func (t *Task) WriteStatic(idx int, v heap.Word) {
 	t.step(t.rt.cfg.CostWrite)
 	if t.logging() {
 		if t.logStaticStore(idx) {
-			t.chargeLogEntry()
+			t.charge(t.rt.cfg.CostLogEntry) // the slow path; deduped stores skip it (§3.1.2)
 			if t.rt.cfg.TrackDependencies {
 				t.rt.spec.RegisterStatic(idx, t.spanRef())
 			}
@@ -928,11 +940,7 @@ func (t *Task) enter(m *monitor.Monitor) {
 			// (the paper's prioritized admission): just wait our turn.
 			rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorBlocked, Thread: t.Name(), Object: m.Name(), Detail: "queued"})
 			rt.waiting[t] = m
-			blockedAt := rt.sch.Now()
 			kind := m.BlockOn(t.th)
-			if t.tp != nil {
-				t.tp.BlockTick(rt.sch.Now()-blockedAt, m.Name())
-			}
 			delete(rt.waiting, t)
 			if kind == sched.WakeInterrupt && t.revokeReq != nil {
 				t.deliverRevocation()
@@ -967,11 +975,7 @@ func (t *Task) enter(m *monitor.Monitor) {
 			}
 		}
 		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorBlocked, Thread: t.Name(), Object: m.Name(), Other: owner.Name()})
-		blockedAt := rt.sch.Now()
 		kind := m.BlockOn(t.th)
-		if t.tp != nil {
-			t.tp.BlockTick(rt.sch.Now()-blockedAt, m.Name())
-		}
 		delete(rt.waiting, t)
 		if kind == sched.WakeGranted {
 			// A revocation may have targeted our still-pending grant: a
@@ -1017,16 +1021,13 @@ func (t *Task) enter(m *monitor.Monitor) {
 		if t.acqSites == nil {
 			t.acqSites = make(map[*monitor.Monitor]string)
 		}
-		t.acqSites[m] = t.lockSite()
+		t.acqSites[m] = t.siteString()
 	}
 	if d := rt.cfg.Race; d != nil {
 		if !reentrant {
 			d.Acquire(t.th.ID(), m)
 		}
 		d.SectionEnter(t.th.ID()) // mark pushed for every frame, reentrant included
-	}
-	if t.tp != nil {
-		t.tp.SectionEnter()
 	}
 	// N carries the undo-log depth so trace consumers (the Perfetto counter
 	// tracks) can plot speculative state without replaying barrier logic.
@@ -1070,9 +1071,6 @@ func (t *Task) enterElided(m *monitor.Monitor) {
 		}
 		d.SectionEnter(t.th.ID())
 	}
-	if t.tp != nil {
-		t.tp.SectionEnter()
-	}
 	if rt.traced {
 		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorAcquired, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: fmt.Sprintf("depth=%d elided", len(t.frames))})
 	}
@@ -1105,9 +1103,6 @@ func (t *Task) commitTop(m *monitor.Monitor) {
 			}
 			d.SectionCommit(t.th.ID())
 		}
-		if t.tp != nil {
-			t.tp.SectionCommit()
-		}
 		rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorExit, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len()), Detail: "elided"})
 		t.YieldPoint()
 		return
@@ -1123,9 +1118,6 @@ func (t *Task) commitTop(m *monitor.Monitor) {
 			d.Release(t.th.ID(), m)
 		}
 		d.SectionCommit(t.th.ID())
-	}
-	if t.tp != nil {
-		t.tp.SectionCommit()
 	}
 	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.MonitorExit, Thread: t.Name(), Object: m.Name(), N: int64(t.log.Len())})
 	t.YieldPoint()
@@ -1250,14 +1242,11 @@ func (t *Task) deliverRevocation() {
 		t.log.Range(mark, func(e undo.Entry) { rt.spec.Unregister(e.Loc(), id) })
 	}
 	undone := t.log.RollbackTo(mark, rt.hp)
-	if !rt.cfg.NoCosts && undone > 0 {
-		t.th.Advance(simtime.Ticks(undone) * rt.cfg.CostUndoEntry)
-		if t.tp != nil {
-			// The undo replay itself is charged before the wasted-CPU delta
-			// below is computed, so journaling it here keeps the profiler's
-			// waste dimension identical to Stats.WastedTicks.
-			t.tp.Tick(simtime.Ticks(undone) * rt.cfg.CostUndoEntry)
-		}
+	// The undo replay is charged before the wasted-CPU delta below is
+	// computed, so the profiler journals it with the rolled-back span and
+	// its waste dimension stays identical to Stats.WastedTicks.
+	if undone > 0 {
+		t.charge(simtime.Ticks(undone) * rt.cfg.CostUndoEntry)
 	}
 	// 2. Release the monitors acquired by the doomed span, innermost
 	// first. Reentrant frames carry no ownership of their own.
@@ -1277,9 +1266,6 @@ func (t *Task) deliverRevocation() {
 	// never happened, so there is no synchronizes-with edge here.
 	if d := rt.cfg.Race; d != nil {
 		d.SectionRollback(t.th.ID(), idx)
-	}
-	if t.tp != nil {
-		t.tp.SectionRollback(idx)
 	}
 	wasted := t.th.CPU() - target.startCPU
 	t.rollbacks++
@@ -1333,19 +1319,12 @@ func (t *Task) Wait(m *monitor.Monitor) {
 		d.WaitTruncate(t.th.ID())
 		d.Release(t.th.ID(), m)
 	}
-	if t.tp != nil {
-		t.tp.WaitTruncate()
-	}
 	rt.tracer.Emit(trace.Event{At: rt.sch.Now(), Kind: trace.WaitStart, Thread: t.Name(), Object: m.Name()})
-	waitedAt := rt.sch.Now()
 	m.Wait(t.th, func() {
 		if t.revokeReq != nil {
 			t.deliverRevocation()
 		}
 	})
-	if t.tp != nil {
-		t.tp.BlockTick(rt.sch.Now()-waitedAt, m.Name())
-	}
 	// Re-acquired: the frame now covers a fresh ownership span. The paper
 	// limits rollback to the wait point (footnote 2: "a potential rollback
 	// will therefore not reach beyond the point when wait was called");
@@ -1451,13 +1430,13 @@ type DeadlockEdge struct {
 	WaitSite string
 }
 
-// lockSite renders the stamped bytecode site of the task's current monitor
-// operation for cycle reports.
-func (t *Task) lockSite() string {
-	if t.lockMethod == "" {
+// siteString renders the task's site register ("method@pc", "?" when
+// unstamped) for cycle reports.
+func (t *Task) siteString() string {
+	if t.site.Method == "" {
 		return "?"
 	}
-	return fmt.Sprintf("%s@%d", t.lockMethod, t.lockPC)
+	return fmt.Sprintf("%s@%d", t.site.Method, t.site.PC)
 }
 
 // observeWFG checks whether t blocking on m closes a waits-for cycle and,
@@ -1489,7 +1468,7 @@ func (rt *Runtime) observeWFG(t *Task, m *monitor.Monitor) {
 			Holds:    c.holds.Name(),
 			HoldSite: hold,
 			WaitsFor: waits.Name(),
-			WaitSite: c.task.lockSite(),
+			WaitSite: c.task.siteString(),
 		}
 	}
 	rt.cfg.OnDeadlock(edges)

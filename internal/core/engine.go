@@ -130,41 +130,24 @@ func (t *Task) CountRawStore() { t.rt.stats.RawStores++ }
 // second thread can ever reach the monitor's object.
 func (t *Task) CountConfinedElision() { t.rt.stats.ConfinedElisions++ }
 
-// SetLockSite names the bytecode site of the next monitor acquisition for
-// the wait-for-graph observer's cycle reports. The interpreter calls it
-// before each monitorenter when Config.OnDeadlock is set.
-func (t *Task) SetLockSite(method string, pc int) {
-	t.lockMethod, t.lockPC = method, pc
-}
-
-// ---------------------------------------------------------------------------
-// Race-sanitizer hooks (Config.Race != nil; all no-ops otherwise).
-
-// SetRaceSite names the bytecode site of the next barriered access for race
-// reports. The interpreter calls it before each heap-access instruction
-// when the sanitizer is enabled.
-func (t *Task) SetRaceSite(method string, pc int) {
-	t.raceMethod, t.racePC = method, pc
+// SetSite stamps the task's site register with the bytecode site of the
+// instruction about to execute. Engines call it before each instruction's
+// tick charge when Runtime.NeedsSites; the charge, and every race report,
+// cycle edge and Perturb.Scale lookup made until the next stamp, name this
+// site.
+func (t *Task) SetSite(method string, pc int) {
+	t.site = Site{Method: method, PC: pc}
 }
 
 // raceSite returns the current access site for the sanitizer.
 func (t *Task) raceSite() race.Site {
-	return race.Site{Method: t.raceMethod, PC: t.racePC}
+	return race.Site{Method: t.site.Method, PC: t.site.PC}
 }
 
 // ---------------------------------------------------------------------------
-// Profiler hooks (Config.Profiler != nil; all no-ops otherwise). The
-// interpreter mirrors its frame stack into the profiler: SetProfSite before
-// every instruction, ProfPush at method entry, ProfPopTo after any pop
-// (return, exception unwind, rollback discard).
-
-// SetProfSite stamps the current bytecode pc; subsequent tick charges are
-// attributed to (current method, pc).
-func (t *Task) SetProfSite(pc int) {
-	if t.tp != nil {
-		t.tp.SetPC(pc)
-	}
-}
+// Profiler call-tree mirror (Config.Profiler != nil; all no-ops
+// otherwise): ProfPush at method entry, ProfPopTo after any pop (return,
+// exception unwind, rollback discard).
 
 // ProfPush enters method fn in the profiler's call tree.
 func (t *Task) ProfPush(fn string) {

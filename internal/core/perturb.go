@@ -21,9 +21,10 @@ import (
 // behaviorally identical to nil — the zero-perturbation replay property
 // the causal package pins tick-for-tick.
 
-// Site names a bytecode site: the method and pc the interpreter stamps via
-// the profiler mirror (SetProfSite/ProfPush). Site-scaled runs therefore
-// need Config.Profiler attached; rvmrun -whatif attaches one automatically.
+// Site names a bytecode site: the method and pc the interpreter stamps into
+// a task's site register (Task.SetSite) before each instruction. A
+// configured Scale makes the runtime ask for stamps (Runtime.NeedsSites),
+// so site-scaled runs need no other consumer attached.
 type Site struct {
 	Method string
 	PC     int
@@ -73,8 +74,7 @@ func (p *Perturb) active() bool {
 // scaleWork applies Perturb.Scale to one Work charge. applied is false when
 // the current site has no scale entry (the charge passes through).
 func (rt *Runtime) scaleWork(t *Task, n simtime.Ticks) (scaled simtime.Ticks, applied bool) {
-	fn, pc := t.tp.Site()
-	key := Site{Method: fn, PC: pc}
+	key := t.site
 	r, ok := rt.cfg.Perturb.Scale[key]
 	if !ok || r.Den <= 0 || r.Num < 0 {
 		return n, false

@@ -181,8 +181,8 @@ type microOp struct {
 // fuse compiles code[start:end] — a maximal straight-line run of simple
 // opcodes — into one superinstruction closure, with term (the compiled
 // closure of the block-ending instruction at pc end, when non-nil) run in
-// the same dispatch. Each constituent keeps its own pc stamp, profiler
-// stamp and tick charge, so yield points, fault pcs and attribution are
+// the same dispatch. Each constituent keeps its own pc stamp, site stamp
+// and tick charge, so yield points, fault pcs and attribution are
 // bit-identical to the switch interpreter; only the dispatch between
 // constituents is gone.
 func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves map[int]bool) opFunc {
@@ -198,7 +198,7 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 	}
 	cost := e.Opts.CostPerInstr
 	mname := m.Name
-	profOn, raceOn, fastStep := e.profOn, e.raceOn, e.fastStep
+	sites, fastStep := e.sites, e.fastStep
 	audit := e.Opts.ElisionAudit
 	after := end
 
@@ -208,8 +208,8 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 		for i := range ops {
 			op := &ops[i]
 			f.pc = pc
-			if profOn {
-				t.SetProfSite(pc)
+			if sites {
+				t.SetSite(mname, pc)
 			}
 			if fastStep {
 				t.Step(cost)
@@ -268,14 +268,8 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 				v, _ := arith(op.op, a, b)
 				f.push(v)
 			case bytecode.GETSTATIC:
-				if raceOn {
-					t.SetRaceSite(mname, pc)
-				}
 				f.push(t.ReadStatic(int(op.a)))
 			case bytecode.PUTSTATIC:
-				if raceOn {
-					t.SetRaceSite(mname, pc)
-				}
 				t.WriteStatic(int(op.a), f.pop())
 			case bytecode.SAVESTACK:
 				d := int(op.v)
@@ -291,8 +285,8 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 			pc++
 		}
 		// after is the terminator's pc (or the next leader's, with no
-		// terminator); term stamps its own profiler site and advances f.pc
-		// itself, exactly as it would when dispatched from the loop.
+		// terminator); term stamps its own site and advances f.pc itself,
+		// exactly as it would when dispatched from the loop.
 		f.pc = after
 		if term != nil {
 			term(in, f)
@@ -322,19 +316,16 @@ func (e *Env) compileConfinedElision(mname string, pc int) opFunc {
 }
 
 // prologue is exec's per-instruction prologue, run first by every
-// dedicated closure: profiler stamp, tick charge, race-site stamp.
+// dedicated closure: site stamp, then tick charge.
 func (in *Interp) prologue(mname string, pc int) {
 	e := in.env
-	if e.profOn {
-		in.task.SetProfSite(pc)
+	if e.sites {
+		in.task.SetSite(mname, pc)
 	}
 	if e.fastStep {
 		in.task.Step(e.Opts.CostPerInstr)
 	} else {
 		in.task.Work(e.Opts.CostPerInstr)
-	}
-	if e.raceOn {
-		in.task.SetRaceSite(mname, pc)
 	}
 }
 
@@ -637,7 +628,6 @@ func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
 				nonRev, nonRevReason = true, s.ReasonSummary()
 			}
 		}
-		dlOn := e.dlOn
 		return func(in *Interp, f *frame) {
 			in.prologue(mname, pc)
 			mon, ok := in.monitorFor(f.pop())
@@ -645,9 +635,6 @@ func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
 				return
 			}
 			depth := in.task.EngineFrameDepth()
-			if dlOn {
-				in.task.SetLockSite(mname, pc)
-			}
 			if nonRev {
 				in.task.EngineEnterNonRevocable(mon, nonRevReason)
 			} else {
@@ -694,6 +681,6 @@ func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
 
 	// Cold rest (WAIT, NOTIFY, THROW, RETHROW, CHECKTARGET, SPAWN,
 	// unresolved references): the switch interpreter, which stamps its own
-	// profiler site.
+	// site.
 	return execOp
 }

@@ -128,18 +128,10 @@ type Env struct {
 	// (still present in the cache) means the method has no elided sites.
 	confined map[*bytecode.Method]map[int]int8
 
-	// raceOn caches Config.Race != nil: heap-access instructions then stamp
-	// their bytecode site on the task so race reports can name it.
-	raceOn bool
-
-	// profOn caches Config.Profiler != nil: every instruction then stamps
-	// its pc and every call/return mirrors into the profiler's call tree.
-	profOn bool
-
-	// dlOn caches Config.OnDeadlock != nil: monitorenter sites then stamp
-	// their bytecode site on the task so wait-for-graph cycle reports can
-	// name each edge's acquisition pc.
-	dlOn bool
+	// sites caches Runtime.NeedsSites: every instruction then stamps its
+	// bytecode site into the task's site register before its tick charge,
+	// and every call/return mirrors into the profiler's call tree.
+	sites bool
 
 	// fastStep lets compiled code charge each instruction through the
 	// loop-free Task.Step, which equals Work when the per-instruction cost
@@ -189,9 +181,7 @@ func NewEnv(rt *core.Runtime, prog *bytecode.Program, opts Options) (*Env, error
 		regionAt: map[*bytecode.Method]map[int]int{},
 		compiled: map[*bytecode.Method][]opFunc{},
 		confined: map[*bytecode.Method]map[int]int8{},
-		raceOn:   rt.Config().Race != nil,
-		profOn:   rt.Config().Profiler != nil,
-		dlOn:     rt.Config().OnDeadlock != nil,
+		sites:    rt.NeedsSites(),
 		fastStep: opts.CostPerInstr <= rt.Scheduler().Quantum() && (perturb == nil || len(perturb.Scale) == 0),
 	}
 	for _, s := range prog.Statics {
@@ -296,7 +286,7 @@ func (e *Env) Call(t *core.Task, m *bytecode.Method, args []heap.Word) (heap.Wor
 		return 0, fmt.Errorf("interp: %s wants %d args, got %d", m.Name, m.Args, len(args))
 	}
 	in := &Interp{env: e, task: t}
-	if e.profOn {
+	if e.sites {
 		// Nested Call (native re-entry) stacks on the caller's profile
 		// frames; popping back to profBase restores them on any exit.
 		in.profBase = t.ProfDepth()
@@ -397,7 +387,7 @@ func (in *Interp) pushFrame(m *bytecode.Method, args []heap.Word) {
 	}
 	copy(f.locals, args)
 	in.frames = append(in.frames, f)
-	if in.env.profOn {
+	if in.env.sites {
 		in.task.ProfPush(m.Name)
 	}
 }
@@ -405,7 +395,7 @@ func (in *Interp) pushFrame(m *bytecode.Method, args []heap.Word) {
 // profSync re-aligns the profiler's call stack with in.frames after any
 // frame pop — return, exception unwind, rollback discard, error cleanup.
 func (in *Interp) profSync() {
-	if in.env.profOn {
+	if in.env.sites {
 		in.task.ProfPopTo(in.profBase + len(in.frames))
 	}
 }
@@ -558,15 +548,12 @@ func (in *Interp) monitorFor(ref heap.Word) (*monitor.Monitor, bool) {
 // exec runs one instruction, updating f.pc.
 func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 	// Every instruction boundary is a yield point; delivery of a pending
-	// revocation happens inside Work via the runtime. The profiler site is
-	// stamped first so the instruction's own ticks land on its pc.
-	if in.env.profOn {
-		in.task.SetProfSite(f.pc)
+	// revocation happens inside Work via the runtime. The site is stamped
+	// first so the instruction's own ticks land on its pc.
+	if in.env.sites {
+		in.task.SetSite(f.m.Name, f.pc)
 	}
 	in.task.Work(in.env.Opts.CostPerInstr)
-	if in.env.raceOn {
-		in.task.SetRaceSite(f.m.Name, f.pc)
-	}
 
 	next := f.pc + 1
 	switch instr.Op {
@@ -694,7 +681,7 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 		}
 		in.task.WriteElem(a, int(idx), v)
 
-	// Raw stores (barrier elided by rewrite.ApplyElision): the store
+	// Raw stores (barrier elided by rewrite.ApplyStaticElision): the store
 	// cost is still charged, but the in-section check, undo logging and
 	// speculation registration are skipped.
 	case bytecode.PUTFIELDRAW:
@@ -760,9 +747,6 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 			return
 		}
 		depth := in.task.EngineFrameDepth()
-		if in.env.dlOn {
-			in.task.SetLockSite(f.m.Name, f.pc)
-		}
 		in.task.EngineEnter(m)
 		if facts := in.env.Opts.Facts; facts != nil {
 			if s := facts.SectionAt(f.m.Name, f.pc); s != nil && s.NonRevocable {

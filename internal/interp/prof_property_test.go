@@ -17,6 +17,18 @@ import (
 // the dimension totals plus the runtime's final clock and wasted ticks.
 func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64, int64) {
 	t.Helper()
+	p, rt := profRun(t, src, tier)
+	var totals [prof.NumDims]int64
+	for _, d := range prof.Dims() {
+		totals[d] = p.Total(d)
+	}
+	return totals, int64(rt.Now()), int64(rt.Stats().WastedTicks)
+}
+
+// profRun runs one example under the profiler on one tier, with a nonzero
+// context-switch cost, and returns the profiler and the finished runtime.
+func profRun(t *testing.T, src string, tier Tier) (*prof.Profiler, *core.Runtime) {
+	t.Helper()
 	text, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +61,7 @@ func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var totals [prof.NumDims]int64
-	for _, d := range prof.Dims() {
-		totals[d] = p.Total(d)
-	}
-	return totals, int64(rt.Now()), int64(rt.Stats().WastedTicks)
+	return p, rt
 }
 
 // TestProfilerPartitionsVirtualTime is the profiler's grand invariant,

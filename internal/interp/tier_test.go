@@ -389,7 +389,9 @@ method main locals 2 {
 // charges identically on both tiers. Site scaling rewrites every Work
 // charge at the site, the instruction's own cost included, so the
 // compiled tier must not take the unscaled Task.Step fast path while
-// scaling is configured.
+// scaling is configured. Scaling resolves sites through the runtime's own
+// site register, so it must shorten the run with and without a profiler
+// attached.
 func TestWhatIfScaleTierEquivalence(t *testing.T) {
 	src := `
 thread main priority 5 run main
@@ -410,7 +412,7 @@ method main locals 1 {
     return
 }
 `
-	run := func(tier Tier, scale bool) int64 {
+	run := func(tier Tier, scale bool, profiler *prof.Profiler) int64 {
 		prog := bytecode.MustAssemble(src)
 		var p *core.Perturb
 		if scale {
@@ -423,7 +425,7 @@ method main locals 1 {
 		}
 		rt := core.New(core.Config{
 			Mode:     core.Revocation,
-			Profiler: prof.New(), // site scaling resolves sites through it
+			Profiler: profiler,
 			Perturb:  p,
 			Sched:    sched.Config{Quantum: 1000},
 		})
@@ -432,14 +434,22 @@ method main locals 1 {
 		}
 		return int64(rt.Now())
 	}
-	base := run(TierExec, false)
-	scaled := run(TierExec, true)
-	if scaled >= base {
-		t.Fatalf("scaling the work site did not shorten the run: %d >= %d ticks", scaled, base)
-	}
-	for _, tier := range allTiers[1:] {
-		if got := run(tier, true); got != scaled {
-			t.Errorf("%v tier: scaled run ends at %d ticks, exec at %d", tier, got, scaled)
+	for _, profiled := range []bool{true, false} {
+		newProfiler := func() *prof.Profiler {
+			if profiled {
+				return prof.New()
+			}
+			return nil
+		}
+		scaled := run(TierExec, true, newProfiler())
+		for _, tier := range allTiers {
+			base, got := run(tier, false, newProfiler()), run(tier, true, newProfiler())
+			if got >= base {
+				t.Errorf("profiled=%v %v tier: scaling the work site did not shorten the run: %d >= %d ticks", profiled, tier, got, base)
+			}
+			if got != scaled {
+				t.Errorf("profiled=%v %v tier: scaled run ends at %d ticks, exec at %d", profiled, tier, got, scaled)
+			}
 		}
 	}
 }

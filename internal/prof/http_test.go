@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func get(t *testing.T, h *httptest.Server, path string) (int, string, string) {
@@ -27,10 +29,10 @@ func get(t *testing.T, h *httptest.Server, path string) (int, string, string) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SetPC(2)
-	tp.Tick(40)
-	tp.BlockTick(3, "M")
+	v := newThread(p, "T")
+	v.pc = 2
+	v.tick(40)
+	v.block("M", 3)
 	srv := httptest.NewServer(Handler(p, func(w io.Writer) {
 		fmt.Fprintln(w, "rvm_extra_metric 1")
 	}))
@@ -97,18 +99,18 @@ func TestConcurrentScrape(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tp := p.Thread("vm")
+		v := newThread(p, "vm")
 		for i := 0; i < 500; i++ {
-			tp.SetPC(i % 17)
-			tp.SectionEnter()
-			tp.Tick(2)
+			v.pc = i % 17
+			v.enter("A")
+			v.tick(2)
 			if i%3 == 0 {
-				tp.SectionRollback(0)
+				v.rollback("A")
 			} else {
-				tp.SectionCommit()
+				v.exit("A")
 			}
-			tp.BlockTick(1, "M")
-			p.SchedTick("idle", 1)
+			v.block("M", 1)
+			p.Emit(trace.Event{Kind: trace.SchedIdle, N: 1})
 		}
 	}()
 

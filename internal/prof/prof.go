@@ -1,13 +1,14 @@
 // Package prof implements a deterministic virtual-time profiler for the
 // reproduction VM, in the style of Go's CPU/block/mutex profiles. Every
 // tick a thread charges to the virtual clock is attributed to the thread's
-// current (method, PC) site — stamped by the interpreter at each
-// instruction — and bucketed into one of four profile dimensions:
+// current (method, PC) site — the runtime's site register, stamped by the
+// interpreter at each instruction — and bucketed into one of four profile
+// dimensions:
 //
 //   - Work:  committed execution,
 //   - Waste: execution later retracted by a rollback (reclassified from
-//     Work when the runtime's SectionRollback hook fires, reconciling
-//     exactly with core.Stats.WastedTicks),
+//     Work when the Rollback event arrives, reconciling exactly with
+//     core.Stats.WastedTicks),
 //   - Block: virtual time spent parked on a monitor, attributed to both
 //     the waiter's site and the contended monitor (like Go's mutex
 //     profile),
@@ -21,9 +22,16 @@
 // time overlaps Work/Waste of other threads and can exceed wall time when
 // several threads wait at once.
 //
-// The profiler is driven by hooks in internal/core and internal/sched
-// behind the core.Config.Profiler knob; nil = zero cost, the same contract
-// as Config.Observer and Config.Race. All shared state is mutex-guarded so
+// A Profiler is a trace.Sink: core.New puts it first in the runtime's event
+// fan-out when core.Config.Profiler is set, and everything but the per-tick
+// charge comes from that one stream, with threads and monitors matched by
+// name as the obs and causal consumers match them. Section enter, commit
+// and rollback are MonitorAcquired, MonitorExit and Rollback; Object.wait
+// is WaitStart..WaitEnd; a monitor block is MonitorBlocked ended by the
+// thread's next ContextSwitch; scheduler overhead is ContextSwitch.N and
+// SchedIdle.N. The runtime's only direct calls are ThreadProf.Tick for each
+// charge and the interpreter's call-tree mirror (Push, PopTo, Depth). A
+// nil Config.Profiler costs nothing. All shared state is mutex-guarded so
 // a live HTTP endpoint can snapshot profiles mid-run.
 package prof
 
@@ -32,6 +40,7 @@ import (
 	"sync"
 
 	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 // Dim is one of the four profile dimensions.
@@ -89,13 +98,15 @@ type Profiler struct {
 	counts    [NumDims]map[sampleKey]int64
 	totals    [NumDims]int64
 
+	// threads resolves the event stream's thread names to their handles.
+	// Only the VM goroutine registers and reads it, so it takes no lock.
+	threads map[string]*ThreadProf
+
 	// sampler, when set, observes every Work tick charge with its leaf
 	// frame — the per-tick feed the causal profiler intersects with the
-	// critical path for exact (method, pc) attribution. clock supplies the
-	// virtual time at the charge (the end of the charged interval); it is
-	// wired by core.New. Both run on the VM goroutine.
+	// critical path for exact (method, pc) attribution. It runs on the VM
+	// goroutine.
 	sampler func(thread string, end, d simtime.Ticks, fn string, pc int)
-	clock   func() simtime.Ticks
 }
 
 // New creates an empty profiler.
@@ -103,6 +114,7 @@ func New() *Profiler {
 	p := &Profiler{
 		funcIDs: make(map[string]int32),
 		nodeIDs: make(map[node]int32),
+		threads: make(map[string]*ThreadProf),
 	}
 	for d := range p.counts {
 		p.counts[d] = make(map[sampleKey]int64)
@@ -139,17 +151,68 @@ func (p *Profiler) add(dim Dim, key sampleKey, d int64) {
 	p.totals[dim] += d
 }
 
-// SchedTick attributes scheduler-level ticks — context-switch cost or a
+// schedTick attributes scheduler-level ticks — context-switch cost or a
 // discrete-event idle jump — that no thread charged. The label becomes a
 // synthetic root frame ("<context-switch>", "<idle>").
-func (p *Profiler) SchedTick(label string, d simtime.Ticks) {
+func (p *Profiler) schedTick(label string, d int64) {
 	if d <= 0 {
 		return
 	}
 	p.mu.Lock()
 	n := p.internNode(node{fn: p.internFunc("<" + label + ">")})
-	p.add(Sched, sampleKey{node: n}, int64(d))
+	p.add(Sched, sampleKey{node: n}, d)
 	p.mu.Unlock()
+}
+
+// Emit consumes one runtime event: the profiler's whole view of sections,
+// waits, blocking and scheduler overhead. Events of unregistered threads
+// and kinds the profiler does not account are ignored.
+func (p *Profiler) Emit(ev trace.Event) {
+	switch ev.Kind {
+	case trace.ContextSwitch:
+		p.schedTick("context-switch", ev.N)
+		if tp := p.threads[ev.Thread]; tp != nil && tp.parked && !tp.parkWait {
+			tp.unpark(ev.At)
+		}
+		return
+	case trace.SchedIdle:
+		p.schedTick("idle", ev.N)
+		return
+	case trace.MonitorAcquired, trace.MonitorExit, trace.Rollback,
+		trace.MonitorBlocked, trace.WaitStart, trace.WaitEnd:
+	default:
+		return
+	}
+	tp := p.threads[ev.Thread]
+	if tp == nil {
+		return
+	}
+	switch ev.Kind {
+	case trace.MonitorAcquired:
+		tp.marks = append(tp.marks, sectionMark{journal: len(tp.journal), mon: ev.Object})
+	case trace.MonitorExit:
+		tp.sectionCommit()
+	case trace.Rollback:
+		// The rolled-back span starts at the outermost frame of the monitor
+		// (later frames of it are reentrant). A pending-grant revocation
+		// names a monitor no frame holds, and rolls back nothing.
+		for i, m := range tp.marks {
+			if m.mon == ev.Object {
+				tp.sectionRollback(i)
+				break
+			}
+		}
+		tp.parked = false // a wait unwound by the rollback charges nothing
+	case trace.MonitorBlocked:
+		tp.park(ev.At, ev.Object, false)
+	case trace.WaitStart:
+		tp.waitTruncate()
+		tp.park(ev.At, ev.Object, true)
+	case trace.WaitEnd:
+		if tp.parked && tp.parkWait {
+			tp.unpark(ev.At)
+		}
+	}
 }
 
 // Total returns one dimension's accumulated ticks.
@@ -169,34 +232,50 @@ type journalEntry struct {
 	ticks int64
 }
 
-// ThreadProf is one thread's attribution handle. The call stack, stamped
-// pc, and journal are owned by the VM thread (the scheduler serializes all
-// thread execution), so only the shared accumulation tables take the
+// sectionMark is the journal length when one section frame was entered,
+// and the frame's monitor, by which a Rollback event finds its frame.
+type sectionMark struct {
+	journal int
+	mon     string
+}
+
+// ThreadProf is one thread's attribution handle. The call stack, journal
+// and parked interval are owned by the VM thread (the scheduler serializes
+// all thread execution), so only the shared accumulation tables take the
 // profiler lock.
 type ThreadProf struct {
 	p     *Profiler
 	name  string
 	stack []int32 // interned nodes; stack[0] is the thread root
-	pc    int32   // current bytecode pc, stamped by the interpreter
+	pc    *int    // the thread's site register: the current bytecode pc
 
 	// journal records Work attributions since the outermost revocable
-	// section entry; marks[i] is its length when core frame i was pushed.
+	// section entry; marks[i] is its length when section frame i was
+	// entered.
 	journal []journalEntry
-	marks   []int
+	marks   []sectionMark
+
+	// parked is set while the thread is parked on monitor parkMon since
+	// parkAt: blocked on entry (closed by its next ContextSwitch) or, with
+	// parkWait, in Object.wait (closed by WaitEnd).
+	parked   bool
+	parkWait bool
+	parkMon  string
+	parkAt   simtime.Ticks
 }
 
 // Thread registers a thread root (named after the thread) and returns its
-// attribution handle.
-func (p *Profiler) Thread(name string) *ThreadProf {
+// attribution handle. pc is the thread's site register, which the
+// interpreter stamps with the current bytecode pc before each instruction;
+// every charge and call is attributed to its value at that moment.
+func (p *Profiler) Thread(name string, pc *int) *ThreadProf {
 	p.mu.Lock()
 	root := p.internNode(node{fn: p.internFunc(name)})
 	p.mu.Unlock()
-	return &ThreadProf{p: p, name: name, stack: []int32{root}}
+	tp := &ThreadProf{p: p, name: name, stack: []int32{root}, pc: pc}
+	p.threads[name] = tp
+	return tp
 }
-
-// SetClock wires the virtual-time source consulted by the tick sampler;
-// core.New calls it when the profiler is attached to a runtime.
-func (p *Profiler) SetClock(now func() simtime.Ticks) { p.clock = now }
 
 // SetSampler installs the per-charge observer: fn is the leaf method name
 // ("" for thread-root charges), end the virtual time at the end of the
@@ -208,23 +287,23 @@ func (p *Profiler) SetSampler(s func(thread string, end, d simtime.Ticks, fn str
 
 func (tp *ThreadProf) top() int32 { return tp.stack[len(tp.stack)-1] }
 
-// SetPC stamps the current bytecode pc; subsequent ticks are attributed to
-// (current method, pc).
-func (tp *ThreadProf) SetPC(pc int) { tp.pc = int32(pc) }
+// site keys the thread's current site: its innermost call node and pc.
+func (tp *ThreadProf) site() sampleKey {
+	return sampleKey{node: tp.top(), pc: int32(*tp.pc)}
+}
 
 // Depth returns the number of pushed method frames (the thread root does
 // not count).
 func (tp *ThreadProf) Depth() int { return len(tp.stack) - 1 }
 
 // Push enters a method: a child node of the current top, recording the
-// caller's pc as the call site.
+// caller's current pc as the call site.
 func (tp *ThreadProf) Push(fn string) {
 	p := tp.p
 	p.mu.Lock()
-	n := p.internNode(node{parent: tp.top(), fn: p.internFunc(fn), callPC: tp.pc})
+	n := p.internNode(node{parent: tp.top(), fn: p.internFunc(fn), callPC: int32(*tp.pc)})
 	p.mu.Unlock()
 	tp.stack = append(tp.stack, n)
-	tp.pc = 0
 }
 
 // PopTo truncates the method stack to depth frames (as counted by Depth).
@@ -239,14 +318,14 @@ func (tp *ThreadProf) PopTo(depth int) {
 	}
 }
 
-// Tick attributes d charged CPU ticks to the current site as Work,
-// journaling the attribution when inside a synchronized section so a
-// rollback can retract it.
-func (tp *ThreadProf) Tick(d simtime.Ticks) {
+// Tick attributes d charged CPU ticks, ending at virtual time end, to the
+// current site as Work, journaling the attribution when inside a
+// synchronized section so a rollback can retract it.
+func (tp *ThreadProf) Tick(end, d simtime.Ticks) {
 	if d <= 0 {
 		return
 	}
-	key := sampleKey{node: tp.top(), pc: tp.pc}
+	key := tp.site()
 	p := tp.p
 	var leaf string
 	p.mu.Lock()
@@ -255,53 +334,42 @@ func (tp *ThreadProf) Tick(d simtime.Ticks) {
 		leaf = p.funcNames[p.nodes[key.node-1].fn-1]
 	}
 	p.mu.Unlock()
-	if p.sampler != nil && p.clock != nil {
-		p.sampler(tp.name, p.clock(), d, leaf, int(tp.pc))
+	if p.sampler != nil {
+		p.sampler(tp.name, end, d, leaf, int(key.pc))
 	}
 	if len(tp.marks) > 0 {
 		tp.journal = append(tp.journal, journalEntry{key: key, ticks: int64(d)})
 	}
 }
 
-// Site returns the leaf frame the next tick charge would attribute to: the
-// current method name ("" at the thread root) and bytecode pc. The what-if
-// engine keys Perturb.Scale lookups by it.
-func (tp *ThreadProf) Site() (fn string, pc int) {
-	if len(tp.stack) > 1 {
-		p := tp.p
-		p.mu.Lock()
-		fn = p.funcNames[p.nodes[tp.top()-1].fn-1]
-		p.mu.Unlock()
-	}
-	return fn, int(tp.pc)
+// park opens the thread's parked interval on monitor mon at virtual time at.
+func (tp *ThreadProf) park(at simtime.Ticks, mon string, wait bool) {
+	tp.parked, tp.parkWait, tp.parkMon, tp.parkAt = true, wait, mon, at
 }
 
-// BlockTick attributes d ticks parked on monitor mon to the current site.
-// The monitor becomes a pseudo-leaf frame ("monitor:NAME") so block
-// profiles aggregate both by waiting site and by contended monitor.
-// Blocked time is not CPU, so it is never journaled: a rollback's wasted
-// ticks are the victim's own charges only.
-func (tp *ThreadProf) BlockTick(d simtime.Ticks, mon string) {
+// unpark closes the parked interval at virtual time at and attributes it
+// to the current site. The monitor becomes a pseudo-leaf frame
+// ("monitor:NAME") so block profiles aggregate both by waiting site and by
+// contended monitor. Blocked time is not CPU, so it is never journaled: a
+// rollback's wasted ticks are the victim's own charges only.
+func (tp *ThreadProf) unpark(at simtime.Ticks) {
+	tp.parked = false
+	d := int64(at - tp.parkAt)
 	if d <= 0 {
 		return
 	}
 	p := tp.p
 	p.mu.Lock()
-	key := sampleKey{node: tp.top(), pc: tp.pc, aux: p.internFunc("monitor:" + mon)}
-	p.add(Block, key, int64(d))
+	key := tp.site()
+	key.aux = p.internFunc("monitor:" + tp.parkMon)
+	p.add(Block, key, d)
 	p.mu.Unlock()
 }
 
-// SectionEnter records a synchronized-section frame push, aligning the
-// journal with the runtime's frame stack (mirrors race.Detector.SectionEnter).
-func (tp *ThreadProf) SectionEnter() {
-	tp.marks = append(tp.marks, len(tp.journal))
-}
-
-// SectionCommit records a normal section exit. When the outermost frame
+// sectionCommit pops the innermost section frame. When the outermost frame
 // commits, the journaled attributions become permanent Work and the
 // journal resets.
-func (tp *ThreadProf) SectionCommit() {
+func (tp *ThreadProf) sectionCommit() {
 	n := len(tp.marks)
 	if n == 0 {
 		return
@@ -312,17 +380,14 @@ func (tp *ThreadProf) SectionCommit() {
 	}
 }
 
-// SectionRollback reclassifies every attribution journaled since frame idx
-// was pushed from Work to Waste — the profiler's view of the undo replay.
-// The runtime calls it where it computes Stats.WastedTicks, and the charges
-// journaled in between (instruction costs, barrier costs, log-entry costs,
-// the undo replay itself) are exactly the CPU delta that computation
+// sectionRollback reclassifies every attribution journaled since frame idx
+// was entered from Work to Waste — the profiler's view of the undo replay.
+// The runtime emits Rollback where it computes Stats.WastedTicks, and the
+// charges journaled in between (instruction costs, barrier costs, log-entry
+// costs, the undo replay itself) are exactly the CPU delta that computation
 // measures, so the Waste dimension reconciles tick-for-tick.
-func (tp *ThreadProf) SectionRollback(idx int) {
-	if idx < 0 || idx >= len(tp.marks) {
-		return
-	}
-	m := tp.marks[idx]
+func (tp *ThreadProf) sectionRollback(idx int) {
+	m := tp.marks[idx].journal
 	p := tp.p
 	p.mu.Lock()
 	for _, e := range tp.journal[m:] {
@@ -337,13 +402,13 @@ func (tp *ThreadProf) SectionRollback(idx int) {
 	tp.marks = tp.marks[:idx]
 }
 
-// WaitTruncate commits the journal in place: Object.wait released the
+// waitTruncate commits the journal in place: Object.wait released the
 // monitor (or marked the nest non-revocable), so no attribution made so
 // far can be rolled back anymore (mirrors race.Detector.WaitTruncate).
-func (tp *ThreadProf) WaitTruncate() {
+func (tp *ThreadProf) waitTruncate() {
 	tp.journal = tp.journal[:0]
 	for i := range tp.marks {
-		tp.marks[i] = 0
+		tp.marks[i].journal = 0
 	}
 }
 

@@ -3,6 +3,9 @@ package prof
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/simtime"
+	"repro/internal/trace"
 )
 
 // findSample returns the value of the sample whose leaf-first stack renders
@@ -16,17 +19,55 @@ func findSample(s *Snapshot, dim Dim, stack ...Frame) int64 {
 	return 0
 }
 
+// vmThread drives one profiled thread the way the runtime does: pc is the
+// site register the profiler reads, tick is the runtime's charge, and
+// everything else arrives as events on a virtual clock.
+type vmThread struct {
+	p    *Profiler
+	tp   *ThreadProf
+	name string
+	pc   int
+	now  simtime.Ticks
+}
+
+func newThread(p *Profiler, name string) *vmThread {
+	v := &vmThread{p: p, name: name}
+	v.tp = p.Thread(name, &v.pc)
+	return v
+}
+
+func (v *vmThread) tick(d simtime.Ticks) {
+	v.now += d
+	v.tp.Tick(v.now, d)
+}
+
+func (v *vmThread) emit(kind trace.Kind, mon string) {
+	v.p.Emit(trace.Event{At: v.now, Kind: kind, Thread: v.name, Object: mon})
+}
+
+func (v *vmThread) enter(mon string)    { v.emit(trace.MonitorAcquired, mon) }
+func (v *vmThread) exit(mon string)     { v.emit(trace.MonitorExit, mon) }
+func (v *vmThread) rollback(mon string) { v.emit(trace.Rollback, mon) }
+
+// block parks the thread on mon for d ticks: MonitorBlocked, then the
+// thread's next dispatch.
+func (v *vmThread) block(mon string, d simtime.Ticks) {
+	v.emit(trace.MonitorBlocked, mon)
+	v.now += d
+	v.emit(trace.ContextSwitch, "")
+}
+
 func TestTickAttribution(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SetPC(3)
-	tp.Tick(10)
-	tp.Push("m")
-	tp.SetPC(7)
-	tp.Tick(5)
-	tp.PopTo(0)
-	tp.SetPC(4)
-	tp.Tick(2)
+	v := newThread(p, "T")
+	v.pc = 3
+	v.tick(10)
+	v.tp.Push("m")
+	v.pc = 7
+	v.tick(5)
+	v.tp.PopTo(0)
+	v.pc = 4
+	v.tick(2)
 
 	s := p.Snapshot()
 	if got := s.Totals[Work]; got != 17 {
@@ -42,24 +83,24 @@ func TestTickAttribution(t *testing.T) {
 	if v := findSample(s, Work, Frame{"T", 4}); v != 2 {
 		t.Errorf("post-return site T@4 = %d ticks, want 2", v)
 	}
-	if tp.Depth() != 0 {
-		t.Errorf("depth = %d after PopTo(0)", tp.Depth())
+	if v.tp.Depth() != 0 {
+		t.Errorf("depth = %d after PopTo(0)", v.tp.Depth())
 	}
 }
 
 func TestSectionRollbackReclassifies(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SetPC(1)
-	tp.Tick(100) // outside any section: permanent
+	v := newThread(p, "T")
+	v.pc = 1
+	v.tick(100) // outside any section: permanent
 
-	tp.SectionEnter()
-	tp.SetPC(2)
-	tp.Tick(30)
-	tp.SectionEnter() // nested
-	tp.SetPC(3)
-	tp.Tick(12)
-	tp.SectionRollback(0) // roll back the outermost frame
+	v.enter("A")
+	v.pc = 2
+	v.tick(30)
+	v.enter("B") // nested
+	v.pc = 3
+	v.tick(12)
+	v.rollback("A") // roll back the outermost frame
 
 	s := p.Snapshot()
 	if s.Totals[Work] != 100 || s.Totals[Waste] != 42 {
@@ -80,28 +121,28 @@ func TestSectionRollbackReclassifies(t *testing.T) {
 		t.Errorf("permanent work T@1 = %d, want 100", v)
 	}
 	// Marks were truncated to idx: a re-execution re-enters from scratch.
-	if len(tp.marks) != 0 || len(tp.journal) != 0 {
-		t.Errorf("marks=%d journal=%d after rollback, want 0/0", len(tp.marks), len(tp.journal))
+	if len(v.tp.marks) != 0 || len(v.tp.journal) != 0 {
+		t.Errorf("marks=%d journal=%d after rollback, want 0/0", len(v.tp.marks), len(v.tp.journal))
 	}
 }
 
 func TestPartialRollbackKeepsOuterJournal(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SectionEnter()
-	tp.SetPC(1)
-	tp.Tick(5)
-	tp.SectionEnter()
-	tp.SetPC(2)
-	tp.Tick(7)
-	tp.SectionRollback(1) // inner frame only
+	v := newThread(p, "T")
+	v.enter("A")
+	v.pc = 1
+	v.tick(5)
+	v.enter("B")
+	v.pc = 2
+	v.tick(7)
+	v.rollback("B") // inner frame only
 
 	if got := p.Total(Waste); got != 7 {
 		t.Fatalf("waste = %d, want 7", got)
 	}
 	// The outer frame's journal survives: a later outer rollback retracts
 	// the remaining 5.
-	tp.SectionRollback(0)
+	v.rollback("A")
 	if got := p.Total(Waste); got != 12 {
 		t.Fatalf("waste after outer rollback = %d, want 12", got)
 	}
@@ -112,16 +153,16 @@ func TestPartialRollbackKeepsOuterJournal(t *testing.T) {
 
 func TestSectionCommitClearsJournal(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SectionEnter()
-	tp.SetPC(1)
-	tp.Tick(9)
-	tp.SectionCommit() // outermost commit: ticks become permanent
+	v := newThread(p, "T")
+	v.enter("A")
+	v.pc = 1
+	v.tick(9)
+	v.exit("A") // outermost commit: ticks become permanent
 
-	tp.SectionEnter()
-	tp.SetPC(2)
-	tp.Tick(4)
-	tp.SectionRollback(0)
+	v.enter("A")
+	v.pc = 2
+	v.tick(4)
+	v.rollback("A")
 
 	s := p.Snapshot()
 	if s.Totals[Work] != 9 || s.Totals[Waste] != 4 {
@@ -132,29 +173,38 @@ func TestSectionCommitClearsJournal(t *testing.T) {
 
 func TestWaitTruncateCommitsInPlace(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SectionEnter()
-	tp.SetPC(1)
-	tp.Tick(50)
-	tp.WaitTruncate() // Object.wait released the monitor mid-section
-	tp.SetPC(2)
-	tp.Tick(8)
-	tp.SectionRollback(0)
+	v := newThread(p, "T")
+	v.enter("A")
+	v.pc = 1
+	v.tick(50)
+	v.emit(trace.WaitStart, "A") // Object.wait released the monitor mid-section
+	v.now += 20
+	v.emit(trace.ContextSwitch, "") // notified; a dispatch does not end the wait
+	v.now += 6
+	v.emit(trace.WaitEnd, "A")
+	v.pc = 2
+	v.tick(8)
+	v.rollback("A")
 
 	s := p.Snapshot()
 	// Only the post-wait ticks are retractable.
 	if s.Totals[Work] != 50 || s.Totals[Waste] != 8 {
 		t.Fatalf("work=%d waste=%d, want 50/8", s.Totals[Work], s.Totals[Waste])
 	}
+	// The whole wait, re-acquisition included, is blocked time at the
+	// waiting site.
+	if v := findSample(s, Block, Frame{"monitor:A", 0}, Frame{"T", 1}); v != 26 {
+		t.Errorf("wait block sample = %d, want 26; got %+v", v, s.Dims[Block])
+	}
 }
 
 func TestBlockTickAuxFrameAndNoJournal(t *testing.T) {
 	p := New()
-	tp := p.Thread("T")
-	tp.SectionEnter()
-	tp.SetPC(6)
-	tp.BlockTick(11, "M")
-	tp.SectionRollback(0)
+	v := newThread(p, "T")
+	v.enter("A")
+	v.pc = 6
+	v.block("M", 11)
+	v.rollback("A")
 
 	s := p.Snapshot()
 	if s.Totals[Block] != 11 || s.Totals[Waste] != 0 {
@@ -169,9 +219,9 @@ func TestBlockTickAuxFrameAndNoJournal(t *testing.T) {
 
 func TestSchedTickSyntheticRoot(t *testing.T) {
 	p := New()
-	p.SchedTick("context-switch", 4)
-	p.SchedTick("idle", 6)
-	p.SchedTick("idle", 0) // no-op
+	p.Emit(trace.Event{Kind: trace.ContextSwitch, Thread: "T", N: 4})
+	p.Emit(trace.Event{Kind: trace.SchedIdle, N: 6})
+	p.Emit(trace.Event{Kind: trace.ContextSwitch, Thread: "T"}) // no switch cost
 
 	s := p.Snapshot()
 	if s.Totals[Sched] != 10 {
@@ -187,16 +237,16 @@ func TestSchedTickSyntheticRoot(t *testing.T) {
 
 func TestTopRanksLeafSites(t *testing.T) {
 	p := New()
-	a := p.Thread("A")
-	a.SetPC(1)
-	a.Tick(5)
-	a.Push("m")
-	a.SetPC(2)
-	a.Tick(20) // same leaf (m, 2) from a different path
-	b := p.Thread("B")
-	b.Push("m")
-	b.SetPC(2)
-	b.Tick(30)
+	a := newThread(p, "A")
+	a.pc = 1
+	a.tick(5)
+	a.tp.Push("m")
+	a.pc = 2
+	a.tick(20) // same leaf (m, 2) from a different path
+	b := newThread(p, "B")
+	b.tp.Push("m")
+	b.pc = 2
+	b.tick(30)
 
 	top := p.Snapshot().Top(Work, 2)
 	if len(top) != 2 {
@@ -214,16 +264,47 @@ func TestSnapshotDeterministic(t *testing.T) {
 	build := func() *Snapshot {
 		p := New()
 		for _, name := range []string{"T1", "T2", "T3"} {
-			tp := p.Thread(name)
+			v := newThread(p, name)
 			for pc := 1; pc <= 5; pc++ {
-				tp.SetPC(pc)
-				tp.Tick(3)
+				v.pc = pc
+				v.tick(3)
 			}
 		}
-		p.SchedTick("idle", 2)
+		p.Emit(trace.Event{Kind: trace.SchedIdle, N: 2})
 		return p.Snapshot()
 	}
 	if a, b := build(), build(); !reflect.DeepEqual(a, b) {
 		t.Errorf("snapshots of identical runs differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestEventMatching pins how the stream's events find their thread and
+// frame: a Rollback naming a monitor no frame holds (a revoked pending
+// grant) rolls nothing back, events of unregistered threads are ignored,
+// and an entry block ends at the thread's own next dispatch, not another
+// thread's.
+func TestEventMatching(t *testing.T) {
+	p := New()
+	v := newThread(p, "T")
+	w := newThread(p, "U")
+	v.enter("A")
+	v.pc = 4
+	v.tick(10)
+	v.rollback("B") // pending grant on B: no frame holds it
+	p.Emit(trace.Event{Kind: trace.Rollback, Thread: "ghost", Object: "A"})
+	if got := p.Total(Waste); got != 0 {
+		t.Fatalf("waste = %d after foreign rollbacks, want 0", got)
+	}
+	v.emit(trace.MonitorBlocked, "M")
+	w.now = v.now + 5
+	w.emit(trace.ContextSwitch, "")
+	v.now += 9
+	v.emit(trace.ContextSwitch, "")
+	if got := p.Total(Block); got != 9 {
+		t.Errorf("block = %d, want 9 (ended by T's own dispatch)", got)
+	}
+	v.rollback("A")
+	if got := p.Total(Waste); got != 10 {
+		t.Errorf("waste = %d after the real rollback, want 10", got)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // --- minimal profile.proto decoder, just enough to verify the encoder ---
@@ -163,18 +165,18 @@ func decodeProfile(t *testing.T, gzipped []byte) decodedProfile {
 
 func testSnapshot() *Snapshot {
 	p := New()
-	tp := p.Thread("main")
-	tp.SetPC(3)
-	tp.Tick(10)
-	tp.Push("inner")
-	tp.SetPC(8)
-	tp.Tick(25)
-	tp.SectionEnter()
-	tp.SetPC(9)
-	tp.Tick(7)
-	tp.SectionRollback(0)
-	tp.BlockTick(4, "Lock")
-	p.SchedTick("idle", 2)
+	v := newThread(p, "main")
+	v.pc = 3
+	v.tick(10)
+	v.tp.Push("inner")
+	v.pc = 8
+	v.tick(25)
+	v.enter("Lock")
+	v.pc = 9
+	v.tick(7)
+	v.rollback("Lock")
+	v.block("Lock", 4)
+	p.Emit(trace.Event{Kind: trace.SchedIdle, N: 2})
 	return p.Snapshot()
 }
 

@@ -3,11 +3,40 @@ package rewrite
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/bytecode"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/sched"
 )
+
+// staticElide analyzes p and elides its certified stores, returning the
+// facts execution must carry and the number of stores rewritten.
+func staticElide(t *testing.T, p *bytecode.Program) (*analysis.Facts, int) {
+	t.Helper()
+	facts, err := analysis.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return facts, ApplyStaticElision(p, facts)
+}
+
+// rawStores counts the barrier-free stores in the named method.
+func rawStores(t *testing.T, p *bytecode.Program, method string) int {
+	t.Helper()
+	m, ok := p.Method(method)
+	if !ok {
+		t.Fatalf("no method %s", method)
+	}
+	n := 0
+	for _, in := range m.Code {
+		switch in.Op {
+		case bytecode.PUTFIELDRAW, bytecode.PUTSTATICRAW, bytecode.ASTORERAW:
+			n++
+		}
+	}
+	return n
+}
 
 const elisionProgram = `
 static g = 0
@@ -39,30 +68,93 @@ method outside locals 1 {
 }
 `
 
-func TestApplyElisionRewritesOnlyElidable(t *testing.T) {
+func TestApplyStaticElisionRewritesOnlyElidable(t *testing.T) {
 	p := bytecode.MustAssemble(elisionProgram)
-	n := ApplyElision(p, nil)
+	_, n := staticElide(t, p)
 	if n != 2 {
 		t.Fatalf("rewrote %d stores, want 2 (putstatic+putfield in outside)", n)
 	}
-	outside, _ := p.Method("outside")
-	raw := 0
-	for _, in := range outside.Code {
-		if in.Op == bytecode.PUTSTATICRAW || in.Op == bytecode.PUTFIELDRAW {
-			raw++
-		}
-	}
-	if raw != 2 {
+	if raw := rawStores(t, p, "outside"); raw != 2 {
 		t.Errorf("outside has %d raw stores, want 2", raw)
 	}
-	inSec, _ := p.Method("inSection")
-	for _, in := range inSec.Code {
-		if in.Op == bytecode.PUTSTATICRAW || in.Op == bytecode.PUTFIELDRAW || in.Op == bytecode.ASTORERAW {
-			t.Fatal("store inside a synchronized section was elided — unsound")
-		}
+	// The section's receiver was allocated before the section, so neither
+	// of its stores has a fresh-target proof either.
+	if raw := rawStores(t, p, "inSection"); raw != 0 {
+		t.Fatalf("%d stores inside a synchronized section were elided — unsound", raw)
 	}
 	if err := bytecode.Verify(p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnalyzeBarriers: the barrier analysis behind ApplyStaticElision keeps
+// the barrier on a store in a method called from inside a region, directly
+// or transitively, and elides it in a method that never runs held.
+func TestAnalyzeBarriers(t *testing.T) {
+	p := bytecode.MustAssemble(`
+class L {
+    f
+}
+method lockUser locals 1 {
+    newobj L
+    store 0
+    sync 0 {
+        invoke helper
+    }
+    return
+}
+method helper locals 0 {
+    invoke leaf
+    return
+}
+method leaf locals 0 {
+    getstatic g
+    const 1
+    add
+    putstatic g
+    return
+}
+method standalone locals 0 {
+    getstatic g
+    putstatic g
+    return
+}
+static g = 0
+`)
+	if _, n := staticElide(t, p); n != 1 {
+		t.Errorf("rewrote %d stores, want 1 (standalone's putstatic)", n)
+	}
+	for name, want := range map[string]int{
+		"leaf":       0, // transitively reachable from inside the region
+		"standalone": 1, // never runs in a synchronized context
+	} {
+		if got := rawStores(t, p, name); got != want {
+			t.Errorf("%s: %d raw stores, want %d", name, got, want)
+		}
+	}
+}
+
+// TestAnalyzeBarriersSynchronizedMethodSeed: a synchronized method seeds the
+// held set like a region does, so its callee's store keeps its barrier.
+func TestAnalyzeBarriersSynchronizedMethodSeed(t *testing.T) {
+	p := bytecode.MustAssemble(`
+class C {
+    f
+}
+method C.m synchronized args 1 locals 1 {
+    invoke callee
+    return
+}
+method callee locals 0 {
+    const 2
+    putstatic g
+    return
+}
+static g = 0
+`)
+	staticElide(t, p)
+	if got := rawStores(t, p, "callee"); got != 0 {
+		t.Errorf("callee: %d raw stores, want 0 — synchronized method not treated as a barrier seed", got)
 	}
 }
 
@@ -70,8 +162,7 @@ func TestApplyElisionRewritesOnlyElidable(t *testing.T) {
 // elision on the modified VM; results and logging stats must show elided
 // stores never hit the log while semantics are identical.
 func TestElisionPreservesSemantics(t *testing.T) {
-	run := func(elide bool) (int64, int64) {
-		prog := bytecode.MustAssemble(`
+	src := `
 static g = 0
 class L {
     f
@@ -101,17 +192,11 @@ method outside locals 0 {
     putstatic g
     return
 }
-`)
-		if elide {
-			ApplyElision(prog, nil)
-		}
-		rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 1000}})
-		env, err := interp.Run(rt, prog, interp.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, _ := prog.StaticIndex("g")
-		return int64(env.RT.Heap().GetStatic(idx)), rt.Stats().BarrierFastPaths
+`
+	run := func(elide bool) (int64, int64) {
+		rt := runStatic(t, src, elide)
+		g, _ := rt.Heap().StaticIndex("g")
+		return int64(rt.Heap().GetStatic(g)), rt.Stats().BarrierFastPaths
 	}
 	gPlain, fastPlain := run(false)
 	gElided, fastElided := run(true)

@@ -233,141 +233,15 @@ func injectScopes(p *bytecode.Program, m *bytecode.Method) error {
 // ---------------------------------------------------------------------------
 // Barrier elision (§1.1).
 
-// BarrierAnalysis reports, per method, whether its stores may execute
-// inside a synchronized section — i.e. whether the write barrier's logging
-// slow path is ever needed. Methods never reachable from a synchronized
-// context can use raw stores.
-type BarrierAnalysis struct {
-	// NeedsBarrier[name] is true when the method may run inside a
-	// synchronized section (its own, or a caller's).
-	NeedsBarrier map[string]bool
-}
-
-// Elidable reports whether every store in the named method can skip the
-// barrier slow-path test.
-func (a *BarrierAnalysis) Elidable(name string) bool { return !a.NeedsBarrier[name] }
-
-// ElidableCount returns how many methods are fully elidable.
-func (a *BarrierAnalysis) ElidableCount() int {
-	n := 0
-	for _, needs := range a.NeedsBarrier {
-		if !needs {
-			n++
-		}
-	}
-	return n
-}
-
-// AnalyzeBarriers runs the method-level elision analysis: a method needs
-// barriers if it contains a synchronized region of its own, or if it may
-// execute while some caller's monitor is held. The reachability question is
-// answered by the analysis framework (analysis.Analyze), whose may-run-held
-// fixpoint marks only methods invocable from a held program point — a call
-// placed outside every region does not poison the callee. Programs the
-// framework rejects (it re-verifies) fall back to the original conservative
-// closure: every method transitively callable from any section-containing
-// method needs barriers.
-func AnalyzeBarriers(p *bytecode.Program) *BarrierAnalysis {
-	facts, err := analysis.Analyze(p)
-	if err != nil {
-		return conservativeBarriers(p)
-	}
-	needs := make(map[string]bool, len(p.Methods))
-	for _, m := range p.Methods {
-		needs[m.Name] = facts.MayRunHeld(m.Name) ||
-			len(m.Regions) > 0 || m.Synchronized || containsMonitorEnter(m)
-	}
-	return &BarrierAnalysis{NeedsBarrier: needs}
-}
-
-// conservativeBarriers is the pre-framework approximation, kept as the
-// fallback for programs analysis.Analyze cannot process.
-func conservativeBarriers(p *bytecode.Program) *BarrierAnalysis {
-	needs := make(map[string]bool, len(p.Methods))
-	callees := make(map[string][]string, len(p.Methods))
-	var seeds []string
-	for _, m := range p.Methods {
-		for _, in := range m.Code {
-			if in.Op == bytecode.INVOKE {
-				callees[m.Name] = append(callees[m.Name], in.S)
-			}
-		}
-		if len(m.Regions) > 0 || m.Synchronized || containsMonitorEnter(m) {
-			seeds = append(seeds, m.Name)
-		}
-	}
-	// Everything reachable from a synchronized context needs barriers.
-	var mark func(string)
-	mark = func(name string) {
-		if needs[name] {
-			return
-		}
-		needs[name] = true
-		for _, c := range callees[name] {
-			mark(c)
-		}
-	}
-	for _, s := range seeds {
-		mark(s)
-	}
-	// Fill in explicit false entries so Elidable is meaningful for every
-	// method.
-	for _, m := range p.Methods {
-		if _, ok := needs[m.Name]; !ok {
-			needs[m.Name] = false
-		}
-	}
-	return &BarrierAnalysis{NeedsBarrier: needs}
-}
-
-func containsMonitorEnter(m *bytecode.Method) bool {
-	for _, in := range m.Code {
-		if in.Op == bytecode.MONITORENTER {
-			return true
-		}
-	}
-	return false
-}
-
-// ApplyElision rewrites (in place) the stores of every barrier-elidable
-// method to their raw forms, realizing the optimization §1.1 sketches:
-// "Compiler analyses and optimization may elide these run-time checks when
-// the update can be shown statically never to occur within a synchronized
-// section." Only *write* barriers are elided: read barriers feed the §2.2
-// dependency detection, and a read outside any monitor can still observe a
-// speculative value (the paper's Figure 3), so removing read barriers
-// needs alias information this bytecode does not carry. It returns the
-// number of stores rewritten.
-func ApplyElision(p *bytecode.Program, a *BarrierAnalysis) int {
-	if a == nil {
-		a = AnalyzeBarriers(p)
-	}
-	n := 0
-	for _, m := range p.Methods {
-		if a.NeedsBarrier[m.Name] {
-			continue
-		}
-		for i := range m.Code {
-			switch m.Code[i].Op {
-			case bytecode.PUTFIELD:
-				m.Code[i].Op = bytecode.PUTFIELDRAW
-				n++
-			case bytecode.PUTSTATIC:
-				m.Code[i].Op = bytecode.PUTSTATICRAW
-				n++
-			case bytecode.ASTORE:
-				m.Code[i].Op = bytecode.ASTORERAW
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // ApplyStaticElision rewrites (in place) every store instruction the
 // per-instruction analysis proved barrier-free to its raw form — both
 // never-runs-held stores and stores whose target object is provably
-// allocated inside the current section. facts must come from
+// allocated inside the current section — realizing the optimization §1.1
+// sketches: "Compiler analyses and optimization may elide these run-time
+// checks when the update can be shown statically never to occur within a
+// synchronized section." Only *write* barriers are elided: read barriers
+// feed the §2.2 dependency detection, and a read outside any monitor can
+// still observe a speculative value (the paper's Figure 3). facts must come from
 // analysis.Analyze over this exact program (same method names and pcs; run
 // it after Rewrite, on the program that will execute). The fresh-target
 // proofs rely on the runtime logging allocations, so a program elided this

@@ -250,72 +250,3 @@ method C.m synchronized args 1 locals 1 {
 		t.Error("input program mutated")
 	}
 }
-
-func TestAnalyzeBarriers(t *testing.T) {
-	p := bytecode.MustAssemble(`
-class L {
-    f
-}
-method lockUser locals 1 {
-    newobj L
-    store 0
-    sync 0 {
-        invoke helper
-    }
-    return
-}
-method helper locals 0 {
-    invoke leaf
-    return
-}
-method leaf locals 0 {
-    getstatic g
-    const 1
-    add
-    putstatic g
-    return
-}
-method standalone locals 0 {
-    getstatic g
-    putstatic g
-    return
-}
-static g = 0
-`)
-	a := AnalyzeBarriers(p)
-	for name, want := range map[string]bool{
-		"lockUser":   true,  // contains a region
-		"helper":     true,  // called from inside the region
-		"leaf":       true,  // transitively reachable
-		"standalone": false, // never runs in a synchronized context
-	} {
-		if a.NeedsBarrier[name] != want {
-			t.Errorf("NeedsBarrier[%s] = %v, want %v", name, a.NeedsBarrier[name], want)
-		}
-	}
-	if a.ElidableCount() != 1 {
-		t.Errorf("ElidableCount = %d, want 1", a.ElidableCount())
-	}
-	if !a.Elidable("standalone") || a.Elidable("leaf") {
-		t.Error("Elidable answers wrong")
-	}
-}
-
-func TestAnalyzeBarriersSynchronizedMethodSeed(t *testing.T) {
-	p := bytecode.MustAssemble(`
-class C {
-    f
-}
-method C.m synchronized args 1 locals 1 {
-    invoke callee
-    return
-}
-method callee locals 0 {
-    return
-}
-`)
-	a := AnalyzeBarriers(p)
-	if !a.NeedsBarrier["C.m"] || !a.NeedsBarrier["callee"] {
-		t.Error("synchronized method not treated as a barrier seed")
-	}
-}

@@ -81,11 +81,7 @@ func runStatic(t *testing.T, src string, static bool) *core.Runtime {
 	}
 	var facts *analysis.Facts
 	if static {
-		facts, err = analysis.Analyze(rewritten)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ApplyStaticElision(rewritten, facts)
+		facts, _ = staticElide(t, rewritten)
 	}
 	rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 200}})
 	if _, err := interp.Run(rt, rewritten, interp.Options{

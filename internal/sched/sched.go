@@ -260,14 +260,6 @@ type Scheduler struct {
 	// before a thread is dispatched. The runtime uses it for the periodic
 	// inversion detector.
 	PreDispatch func(next *Thread)
-
-	// OnSwitchCost and OnIdle, when non-nil, observe the two clock
-	// advances the scheduler itself makes: the per-dispatch SwitchCost
-	// charge, and the discrete-event jump to the next timer when no
-	// thread is runnable. The profiler uses them to account scheduler
-	// overhead ticks that no thread charged.
-	OnSwitchCost func(d simtime.Ticks)
-	OnIdle       func(d simtime.Ticks)
 }
 
 // New creates a scheduler over a fresh clock.
@@ -439,9 +431,6 @@ func (s *Scheduler) Run() error {
 				if s.traced {
 					s.tracer.Emit(trace.Event{At: s.clock.Now(), Kind: trace.SchedIdle, N: int64(s.clock.Now() - before)})
 				}
-				if s.OnIdle != nil {
-					s.OnIdle(s.clock.Now() - before)
-				}
 				continue
 			}
 			return fmt.Errorf("%w: %s", ErrDeadlock, s.describeBlocked())
@@ -469,9 +458,6 @@ func (s *Scheduler) dispatch(t *Thread) {
 	}
 	if s.cfg.SwitchCost > 0 {
 		s.clock.Advance(s.cfg.SwitchCost)
-		if s.OnSwitchCost != nil {
-			s.OnSwitchCost(s.cfg.SwitchCost)
-		}
 	}
 	if s.clock.Now() >= s.nextPreempt {
 		s.nextPreempt = s.clock.Now() + s.cfg.Quantum
@@ -552,8 +538,17 @@ func (s *Scheduler) Drain() {
 // assertRunning guards thread-side entry points.
 func (t *Thread) assertRunning(op string) {
 	if t.sch.current != t {
-		panic(fmt.Sprintf("sched: %s called on thread %q which is not running", op, t.name))
+		panic(notRunning{op: op, thread: t.name})
 	}
+}
+
+// notRunning is assertRunning's panic value. Its message is formatted only
+// when printed, which keeps the guard cheap enough for Advance, the
+// runtime's per-charge call, to inline.
+type notRunning struct{ op, thread string }
+
+func (e notRunning) Error() string {
+	return fmt.Sprintf("sched: %s called on thread %q which is not running", e.op, e.thread)
 }
 
 // Advance charges d ticks of work to the clock without yielding.

@@ -36,9 +36,18 @@ func (c *Clock) Now() Ticks { return c.now }
 // virtual time never runs backwards.
 func (c *Clock) Advance(d Ticks) {
 	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative advance %d", d))
+		panic(negativeAdvance(d))
 	}
 	c.now += d
+}
+
+// negativeAdvance is Advance's panic value. Its message is formatted only
+// when printed, which keeps Advance cheap enough for the scheduler's
+// per-charge Thread.Advance to inline it.
+type negativeAdvance Ticks
+
+func (d negativeAdvance) Error() string {
+	return fmt.Sprintf("simtime: negative advance %d", Ticks(d))
 }
 
 // Timer is a scheduled wakeup. The payload is opaque to the clock.

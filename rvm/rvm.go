@@ -40,8 +40,6 @@ type (
 	Options = interp.Options
 	// NativeFunc implements a native method.
 	NativeFunc = interp.NativeFunc
-	// BarrierAnalysis is the §1.1 write-barrier elision analysis result.
-	BarrierAnalysis = rewrite.BarrierAnalysis
 	// Facts is the whole-program static analysis result: sections and
 	// their static revocability, lock-order cycles, elidable stores.
 	Facts = analysis.Facts
@@ -63,13 +61,6 @@ func Disassemble(m *Method) string { return bytecode.Disassemble(m) }
 // Rewrite applies the paper's transformations (synchronized-method
 // lowering + rollback scopes) to a copy of the program.
 func Rewrite(p *Program) (*Program, error) { return rewrite.Rewrite(p) }
-
-// AnalyzeBarriers runs the write-barrier elision analysis.
-func AnalyzeBarriers(p *Program) *BarrierAnalysis { return rewrite.AnalyzeBarriers(p) }
-
-// ApplyElision rewrites the stores of barrier-elidable methods to raw
-// forms; returns the number of stores rewritten.
-func ApplyElision(p *Program, a *BarrierAnalysis) int { return rewrite.ApplyElision(p, a) }
 
 // Analyze runs the whole-program static analysis (held regions, static
 // revocability, lock-order cycles, per-instruction elision). Pass the

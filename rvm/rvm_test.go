@@ -95,11 +95,11 @@ method free locals 0 {
     return
 }
 `)
-	a := rvm.AnalyzeBarriers(prog)
-	if !a.Elidable("free") {
-		t.Fatal("free method not elidable")
+	facts, err := rvm.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := rvm.ApplyElision(prog, a); n != 1 {
+	if n := rvm.ApplyStaticElision(prog, facts); n != 1 {
 		t.Fatalf("elided %d stores, want 1", n)
 	}
 	if err := rvm.Verify(prog); err != nil {
