@@ -394,3 +394,22 @@ func TestJSONOutput(t *testing.T) {
 		t.Errorf("store counters empty: %+v", reports[0].Facts)
 	}
 }
+
+// TestDuplicateMethodRejected: two methods of one name once reached the
+// analysis and crashed it (index out of range in the elision pass); the
+// assembler now rejects the program, and rvmlint exits 1 naming both
+// declarations.
+func TestDuplicateMethodRejected(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "dup.rvm")
+	prog := "static flag\nthread t priority 5 run e\nmethod e {\nconst 0\nputstatic flag\nreturn\n}\nmethod e {\nreturn\n}\n"
+	if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{src}, &out, &errOut); code != 1 {
+		t.Errorf("exit = %d, want 1; stderr: %s", code, errOut.String())
+	}
+	if want := `line 8: duplicate method "e" (first declared at line 3)`; !strings.Contains(errOut.String(), want) {
+		t.Errorf("stderr %q does not name both declarations (%q)", errOut.String(), want)
+	}
+}

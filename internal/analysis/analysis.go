@@ -254,21 +254,6 @@ func (f *Facts) ElidableStore(method string, pc int) bool {
 	return f.elidable[Pos{method, pc}]
 }
 
-// StoreNeverHeld reports whether the store at (method, pc) is elidable by
-// the never-executes-held proof alone. Unlike ElidableStore it never relies
-// on target freshness, so it is sound even when the runtime does not log
-// allocations.
-func (f *Facts) StoreNeverHeld(method string, pc int) bool {
-	return f.neverHeld[Pos{method, pc}]
-}
-
-// MayRunHeld reports whether the named method's body may execute while any
-// monitor is held (its own sections aside).
-func (f *Facts) MayRunHeld(method string) bool {
-	mi, ok := f.methods[method]
-	return ok && mi.mayRunHeld
-}
-
 // NonRevocableSections counts the statically non-revocable sections.
 func (f *Facts) NonRevocableSections() int {
 	n := 0

@@ -304,7 +304,7 @@ method free locals 1 {
 	if f.TotalStores != 1 || f.ElidableStores != 1 || f.NeverHeldStores != 1 {
 		t.Fatalf("counts = total %d elidable %d neverHeld %d", f.TotalStores, f.ElidableStores, f.NeverHeldStores)
 	}
-	if !f.StoreNeverHeld("free", 4) {
+	if !f.neverHeld[Pos{"free", 4}] {
 		t.Fatalf("free not elidable: %+v", f)
 	}
 
@@ -318,11 +318,11 @@ method caller locals 1 {
     return
 }
 `)
-	if f2.StoreNeverHeld("free", 4) {
+	if f2.neverHeld[Pos{"free", 4}] {
 		t.Fatal("free still never-held though invoked from a section")
 	}
-	if !f2.MayRunHeld("free") {
-		t.Fatal("MayRunHeld(free) = false")
+	if !f2.methods["free"].mayRunHeld {
+		t.Fatal("free: mayRunHeld = false")
 	}
 	// The store's receiver is freshly allocated, so per-instruction elision
 	// still applies (via allocation logging), just not the never-held proof.
@@ -435,8 +435,8 @@ method stale locals 2 {
 		t.Fatalf("fresh=%d neverHeld=%d, want 1/0", f.FreshStores, f.NeverHeldStores)
 	}
 	// The never-held proof must reject both: it may not rely on freshness.
-	if f.StoreNeverHeld("freshstore", freshPC) || f.StoreNeverHeld("stale", stalePC) {
-		t.Fatal("StoreNeverHeld used a fresh-target proof")
+	if f.neverHeld[Pos{"freshstore", freshPC}] || f.neverHeld[Pos{"stale", stalePC}] {
+		t.Fatal("the never-held proof used a fresh-target proof")
 	}
 }
 
@@ -554,7 +554,7 @@ handler uhandler from tfrom to tend target hdl catch *
 			pfPC = pc
 		}
 	}
-	if f.ElidableStore("uhandler", pfPC) || f.StoreNeverHeld("uhandler", pfPC) {
+	if f.ElidableStore("uhandler", pfPC) || f.neverHeld[Pos{"uhandler", pfPC}] {
 		t.Fatal("store in handler over a synchronized region was elided")
 	}
 	// The handler pcs must be inside the section.
@@ -595,7 +595,7 @@ method Point.set synchronized args 2 locals 2 {
 	if !s.SyncMethod || !s.NonRevocable || s.Lock != "recv:Point.set" {
 		t.Fatalf("synthetic section = %+v", s)
 	}
-	if f.StoreNeverHeld("Point.set", 2) || f.ElidableStore("Point.set", 2) {
+	if f.neverHeld[Pos{"Point.set", 2}] || f.ElidableStore("Point.set", 2) {
 		t.Fatal("store in synchronized method elided")
 	}
 }

@@ -45,13 +45,22 @@ import (
 //
 // Field operands may be written as Class.field (resolved to an offset) or
 // as a bare integer offset. Static operands may be a name or an offset.
-// Branch targets are labels or absolute instruction indices.
+// Branch targets are labels or absolute instruction indices. Class,
+// static, method and thread names are each unique within their kind.
 func Assemble(src string) (*Program, error) {
 	p := &Program{}
 	lines := strings.Split(src, "\n")
 	i := 0
 	var pendingHandlers []handlerDecl
 	labelsByMethod := map[string]map[string]int{}
+	declaredAt := map[[2]string]int{} // (kind, name) -> line of its declaration
+	declare := func(kind, name string, line int) error {
+		if first, ok := declaredAt[[2]string{kind, name}]; ok {
+			return asmErr(line, fmt.Errorf("duplicate %s %q (first declared at line %d)", kind, name, first))
+		}
+		declaredAt[[2]string{kind, name}] = line
+		return nil
+	}
 	for i < len(lines) {
 		line := stripComment(lines[i])
 		i++
@@ -65,11 +74,17 @@ func Assemble(src string) (*Program, error) {
 			if err != nil {
 				return nil, asmErr(i, err)
 			}
+			if err := declare("static", s.Name, i); err != nil {
+				return nil, err
+			}
 			p.Statics = append(p.Statics, s)
 		case "class":
 			cls, consumed, err := parseClass(fields[1:], lines[i:])
 			if err != nil {
 				return nil, asmErr(i, err)
+			}
+			if err := declare("class", cls.Name, i); err != nil {
+				return nil, err
 			}
 			p.Classes = append(p.Classes, cls)
 			i += consumed
@@ -78,11 +93,17 @@ func Assemble(src string) (*Program, error) {
 			if err != nil {
 				return nil, asmErr(i, err)
 			}
+			if err := declare("thread", t.Name, i); err != nil {
+				return nil, err
+			}
 			p.Threads = append(p.Threads, t)
 		case "method":
 			m, labels, consumed, err := parseMethod(fields[1:], lines[i:])
 			if err != nil {
 				return nil, asmErr(i, err)
+			}
+			if err := declare("method", m.Name, i); err != nil {
+				return nil, err
 			}
 			p.Methods = append(p.Methods, m)
 			labelsByMethod[m.Name] = labels

@@ -187,3 +187,46 @@ func TestVerifyThrowValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleRejectsDuplicateNames: a class, static, method or thread
+// name declared twice is an assembly error naming both declarations'
+// lines. Names of different kinds may coincide (a thread is usually named
+// after its entry method).
+func TestAssembleRejectsDuplicateNames(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		// Once crashed analysis.(*Facts).computeElision: the second method
+		// shadowed the first in the name-keyed fact tables.
+		{"method", `static flag
+thread t priority 5 run e
+method e {
+const 0
+putstatic flag
+return
+}
+method e {
+return
+}`, `asm: line 8: duplicate method "e" (first declared at line 3)`},
+		// Once made rvmrun -critpath fail with a duplicate thread-start,
+		// the event stream naming both threads "t".
+		{"thread", `thread t priority 2 run body
+thread t priority 8 run body
+method body {
+return
+}`, `asm: line 2: duplicate thread "t" (first declared at line 1)`},
+		{"static", "static s\n# a comment line\nstatic s volatile = 1", `asm: line 3: duplicate static "s" (first declared at line 1)`},
+		{"class", "class C {\n f\n}\nclass C {\n g\n}", `asm: line 4: duplicate class "C" (first declared at line 1)`},
+	}
+	for _, c := range cases {
+		_, err := Assemble(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Assemble error %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	// One name across kinds is fine.
+	if _, err := Assemble("static m\nclass m {\n f\n}\nthread m priority 5 run m\nmethod m {\nreturn\n}"); err != nil {
+		t.Errorf("one name across kinds: %v", err)
+	}
+}

@@ -312,9 +312,10 @@ func (r *SiteRecorder) intern(k SiteKey) int32 {
 
 // AttachSites intersects the recorded charges with the attribution's
 // critical work and waste segments, filling a.Sites with on-path ticks
-// per bytecode site.
+// per bytecode site. Overlaps add into a slice indexed by interned site
+// id; the map is built once at the end.
 func (r *SiteRecorder) AttachSites(a *Attribution) {
-	a.Sites = make(map[SiteKey]simtime.Ticks)
+	onPath := make([]simtime.Ticks, len(r.sites))
 	// Index critical work/waste segments per thread, already in time
 	// order from the path walk.
 	perThread := make(map[string][]Segment)
@@ -340,9 +341,15 @@ func (r *SiteRecorder) AttachSites(a *Attribution) {
 				}
 				lo, hi := maxT(c.start, s.Start), minT(c.end(), s.End)
 				if hi > lo {
-					a.Sites[r.sites[c.site]] += hi - lo
+					onPath[c.site] += hi - lo
 				}
 			}
+		}
+	}
+	a.Sites = make(map[SiteKey]simtime.Ticks)
+	for id, t := range onPath {
+		if t > 0 {
+			a.Sites[r.sites[id]] = t
 		}
 	}
 }

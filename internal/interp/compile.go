@@ -298,7 +298,7 @@ func (e *Env) fuse(m *bytecode.Method, start, end int, term opFunc, deadSaves ma
 // thread-confined MONITORENTER or MONITOREXIT: the whole monitor operation
 // is a charge-only no-op — the ref is popped and null-checked for NPE
 // parity, the elision is counted and audited, and control falls through.
-// The certificate check happened at plan-build time (Env.confinedIn), so
+// The certificate check happened at plan-build time (Env.monitorPlan), so
 // the closure itself carries no fact lookup.
 func (e *Env) compileConfinedElision(mname string, pc int) opFunc {
 	next := pc + 1
@@ -612,22 +612,16 @@ func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
 		// proof obligation: a non-revocable fact without a matching
 		// certificate compiles to a hard error, never to a silent
 		// specialization.
-		if e.confinedIn(m)[pc] == confinedEnter {
+		site := e.monitorPlan(m)[pc]
+		if site.confined == confinedEnter {
 			return e.compileConfinedElision(mname, pc)
+		}
+		if certErr := site.certErr; certErr != nil {
+			return func(in *Interp, f *frame) { in.fail("%v", certErr) }
 		}
 		regionIdx := e.regionIndex(m, pc)
 		rewritten := e.Opts.Rewritten
-		nonRev := false
-		var nonRevReason string
-		if facts := e.Opts.Facts; facts != nil {
-			if s := facts.SectionAt(mname, pc); s != nil && s.NonRevocable {
-				if err := facts.RequireCert(mname, pc, analysis.CertNonRevocable); err != nil {
-					certErr := err
-					return func(in *Interp, f *frame) { in.fail("%v", certErr) }
-				}
-				nonRev, nonRevReason = true, s.ReasonSummary()
-			}
-		}
+		nonRevReason := site.nonRev
 		return func(in *Interp, f *frame) {
 			in.prologue(mname, pc)
 			mon, ok := in.monitorFor(f.pop())
@@ -635,7 +629,7 @@ func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
 				return
 			}
 			depth := in.task.EngineFrameDepth()
-			if nonRev {
+			if nonRevReason != "" {
 				in.task.EngineEnterNonRevocable(mon, nonRevReason)
 			} else {
 				in.task.EngineEnter(mon)
@@ -647,7 +641,7 @@ func (e *Env) compileInstr(m *bytecode.Method, pc int) opFunc {
 			f.pc = next
 		}
 	case bytecode.MONITOREXIT:
-		if e.confinedIn(m)[pc] == confinedExit {
+		if e.monitorPlan(m)[pc].confined == confinedExit {
 			return e.compileConfinedElision(mname, pc)
 		}
 		return func(in *Interp, f *frame) {

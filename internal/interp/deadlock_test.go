@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -392,6 +393,43 @@ func TestNewEnvRejectsTamperedFacts(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "no trigger") && !strings.Contains(err.Error(), "certificate") {
 			t.Fatalf("%v tier: error %v does not name the certificate gate", tier, err)
+		}
+	}
+}
+
+// TestUncertifiedNonRevocableFailsAtEnter: a non-revocable section fact
+// that no certificate discharges is never acted on. Here the fact is
+// altered after NewEnv accepted the set, and on every tier the program
+// then fails at that MONITORENTER with the certificate gate's error.
+func TestUncertifiedNonRevocableFailsAtEnter(t *testing.T) {
+	for _, tier := range allTiers {
+		prog, facts := prepareExample(t, filepath.Join("..", "..", "examples", "bytecode", "lockorder.rvm"))
+		rt := core.New(core.Config{Mode: core.Revocation, Sched: sched.Config{Quantum: 1000}})
+		env, err := NewEnv(rt, prog, Options{Rewritten: true, Tier: tier, Facts: facts, Out: io.Discard})
+		if err != nil {
+			t.Fatalf("%v tier: %v", tier, err)
+		}
+		var flipped *analysis.Section
+		for _, s := range facts.Sections {
+			if !s.NonRevocable && !s.SyncMethod {
+				flipped = s
+				break
+			}
+		}
+		if flipped == nil {
+			t.Fatal("no revocable block section in lockorder.rvm")
+		}
+		flipped.NonRevocable = true
+		want := facts.RequireCert(flipped.Enter.Method, flipped.Enter.PC, analysis.CertNonRevocable)
+		if want == nil {
+			t.Fatalf("flipped section at %v has a non-revocable certificate", flipped.Enter)
+		}
+		if err := env.SpawnDeclaredThreads(); err != nil {
+			t.Fatal(err)
+		}
+		err = rt.Run()
+		if err == nil || !strings.Contains(err.Error(), "interp: "+want.Error()) {
+			t.Errorf("%v tier: run error %v, want it to carry %q", tier, err, want)
 		}
 	}
 }

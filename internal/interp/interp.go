@@ -122,11 +122,9 @@ type Env struct {
 	// compiled caches each method's compiled code (TierThreaded).
 	compiled map[*bytecode.Method][]opFunc
 
-	// confined caches, per method, the certificate-gated whole-monitor
-	// elision plan: pc -> confinedEnter/confinedExit for MONITORENTER/EXIT
-	// sites the escape analysis proved thread-confined. A nil map value
-	// (still present in the cache) means the method has no elided sites.
-	confined map[*bytecode.Method]map[int]int8
+	// monitors caches, per method, the certificate-gated plan of its
+	// MONITORENTER/EXIT sites (Env.monitorPlan).
+	monitors map[*bytecode.Method]map[int]monitorSite
 
 	// sites caches Runtime.NeedsSites: every instruction then stamps its
 	// bytecode site into the task's site register before its tick charge,
@@ -180,7 +178,7 @@ func NewEnv(rt *core.Runtime, prog *bytecode.Program, opts Options) (*Env, error
 		classOf:  map[heap.Word]*bytecode.Class{},
 		regionAt: map[*bytecode.Method]map[int]int{},
 		compiled: map[*bytecode.Method][]opFunc{},
-		confined: map[*bytecode.Method]map[int]int8{},
+		monitors: map[*bytecode.Method]map[int]monitorSite{},
 		sites:    rt.NeedsSites(),
 		fastStep: opts.CostPerInstr <= rt.Scheduler().Quantum() && (perturb == nil || len(perturb.Scale) == 0),
 	}
@@ -485,28 +483,50 @@ func (in *Interp) fail(f string, args ...any) {
 	in.err = fmt.Errorf("interp: "+f, args...)
 }
 
-// Confined-elision plan markers: the per-method map produced by
-// Env.confinedIn tags each elidable pc with the operation it replaces.
+// Confined-elision plan markers: monitorSite.confined tags each elidable
+// pc with the operation it replaces.
 const (
 	confinedEnter int8 = 1
 	confinedExit  int8 = 2
 )
 
-// confinedIn resolves (and caches) the whole-monitor elision plan for m:
-// every MONITORENTER the escape analysis proved thread-confined, together
-// with its bracketing MONITOREXIT pcs, becomes a charge-only no-op. Each
-// site is admitted only when the enter and every one of its exits carry a
-// verified confined-monitor certificate — a plan entry without its full
-// certificate set is dropped, never partially applied.
-func (e *Env) confinedIn(m *bytecode.Method) map[int]int8 {
-	if ops, ok := e.confined[m]; ok {
-		return ops
+// monitorSite is the static plan of one MONITORENTER or MONITOREXIT pc.
+type monitorSite struct {
+	// confined is confinedEnter or confinedExit for a certified
+	// thread-confined monitor: the instruction is a charge-only no-op.
+	confined int8
+	// nonRev is the pre-mark reason of a statically non-revocable section
+	// entered here ("" for none). certErr is set with it when the fact
+	// carries no certificate; the instruction then fails with it.
+	nonRev  string
+	certErr error
+}
+
+// monitorPlan resolves (and caches) the static plan of m's monitor
+// instructions, once per method for both tiers:
+//
+//   - every MONITORENTER the escape analysis proved thread-confined,
+//     together with its bracketing MONITOREXIT pcs, becomes a charge-only
+//     no-op. Each site is admitted only when the enter and every one of its
+//     exits carry a verified confined-monitor certificate — a plan entry
+//     without its full certificate set is dropped, never partially applied;
+//   - every MONITORENTER of a statically non-revocable section carries its
+//     pre-mark reason, or the error of its missing certificate.
+func (e *Env) monitorPlan(m *bytecode.Method) map[int]monitorSite {
+	if plan, ok := e.monitors[m]; ok {
+		return plan
 	}
-	var ops map[int]int8
+	plan := map[int]monitorSite{}
 	if facts := e.Opts.Facts; facts != nil {
 		for pc, ins := range m.Code {
 			if ins.Op != bytecode.MONITORENTER {
 				continue
+			}
+			if s := facts.SectionAt(m.Name, pc); s != nil && s.NonRevocable {
+				plan[pc] = monitorSite{
+					nonRev:  s.ReasonSummary(),
+					certErr: facts.RequireCert(m.Name, pc, analysis.CertNonRevocable),
+				}
 			}
 			exits, ok := facts.ConfinedExits(m.Name, pc)
 			if !ok {
@@ -521,17 +541,16 @@ func (e *Env) confinedIn(m *bytecode.Method) map[int]int8 {
 			if !good {
 				continue
 			}
-			if ops == nil {
-				ops = map[int]int8{}
-			}
-			ops[pc] = confinedEnter
+			enter := plan[pc]
+			enter.confined = confinedEnter
+			plan[pc] = enter
 			for _, ep := range exits {
-				ops[ep] = confinedExit
+				plan[ep] = monitorSite{confined: confinedExit}
 			}
 		}
 	}
-	e.confined[m] = ops
-	return ops
+	e.monitors[m] = plan
+	return plan
 }
 
 // monitorFor resolves an object ref to its monitor, raising
@@ -729,7 +748,8 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 		in.task.RaceRawWriteElem(a, int(idx))
 
 	case bytecode.MONITORENTER:
-		if in.env.confinedIn(f.m)[f.pc] == confinedEnter {
+		site := in.env.monitorPlan(f.m)[f.pc]
+		if site.confined == confinedEnter {
 			// Certified thread-confined monitor: no second thread can ever
 			// reach the object, so acquisition is a charge-only no-op. The
 			// ref is still popped and null-checked for NPE parity.
@@ -748,14 +768,12 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 		}
 		depth := in.task.EngineFrameDepth()
 		in.task.EngineEnter(m)
-		if facts := in.env.Opts.Facts; facts != nil {
-			if s := facts.SectionAt(f.m.Name, f.pc); s != nil && s.NonRevocable {
-				if err := facts.RequireCert(f.m.Name, f.pc, analysis.CertNonRevocable); err != nil {
-					in.fail("%v", err)
-					return
-				}
-				in.task.PreMarkNonRevocable(s.ReasonSummary())
-			}
+		if site.certErr != nil {
+			in.fail("%v", site.certErr)
+			return
+		}
+		if site.nonRev != "" {
+			in.task.PreMarkNonRevocable(site.nonRev)
 		}
 		if !in.env.Opts.Rewritten {
 			// No rollback scopes exist: revoking would strand control.
@@ -767,7 +785,7 @@ func (in *Interp) exec(f *frame, instr bytecode.Instr) {
 			coreDepth: depth,
 		})
 	case bytecode.MONITOREXIT:
-		if in.env.confinedIn(f.m)[f.pc] == confinedExit {
+		if in.env.monitorPlan(f.m)[f.pc].confined == confinedExit {
 			if _, ok := in.object(f.pop()); !ok {
 				return
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/rewrite"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // profTotals runs one example under the profiler on one tier and returns
@@ -29,6 +30,14 @@ func profTotals(t *testing.T, src string, tier Tier) ([prof.NumDims]int64, int64
 // context-switch cost, and returns the profiler and the finished runtime.
 func profRun(t *testing.T, src string, tier Tier) (*prof.Profiler, *core.Runtime) {
 	t.Helper()
+	p := prof.New()
+	return p, profRunInto(t, src, tier, p, nil)
+}
+
+// profRunInto is profRun into a given profiler, with tracer (nil for none)
+// receiving the runtime's event stream.
+func profRunInto(t *testing.T, src string, tier Tier, p *prof.Profiler, tracer trace.Sink) *core.Runtime {
+	t.Helper()
 	text, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +53,12 @@ func profRun(t *testing.T, src string, tier Tier) (*prof.Profiler, *core.Runtime
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prof.New()
 	rt := core.New(core.Config{
 		Mode:              core.Revocation,
 		TrackDependencies: true,
 		DeadlockDetection: true,
 		Profiler:          p,
+		Tracer:            tracer,
 		// A nonzero switch cost so the sched dimension participates in the
 		// partition, not just idle jumps.
 		Sched: sched.Config{Quantum: 1000, SwitchCost: 3},
@@ -61,7 +70,7 @@ func profRun(t *testing.T, src string, tier Tier) (*prof.Profiler, *core.Runtime
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return p, rt
+	return rt
 }
 
 // TestProfilerPartitionsVirtualTime is the profiler's grand invariant,

@@ -18,8 +18,9 @@ import (
 //	/debug/pprof/<dim>.folded
 //	                       the same dimension as folded stacks.
 //
-// Every request snapshots the profiler under its lock, so scraping is safe
-// while the VM runs.
+// Every request reads the profiler through Total or Snapshot, which hold
+// its lock for the tables' headers and load the cells atomically, so
+// scraping is safe while the VM runs and charges without the lock.
 
 // Handler returns the live-profiling HTTP handler. extra, if non-nil, is
 // invoked after the profiler's own /metrics output to append further

@@ -31,13 +31,20 @@
 // thread's next ContextSwitch; scheduler overhead is ContextSwitch.N and
 // SchedIdle.N. The runtime's only direct calls are ThreadProf.Tick for each
 // charge and the interpreter's call-tree mirror (Push, PopTo, Depth). A
-// nil Config.Profiler costs nothing. All shared state is mutex-guarded so
-// a live HTTP endpoint can snapshot profiles mid-run.
+// nil Config.Profiler costs nothing.
+//
+// A charge takes no lock and hashes nothing: Work and Waste live in dense
+// atomic cells indexed by interned call-tree node and pc, which only the
+// running VM thread writes. A mutex guards interning, cell-table growth and
+// the Block and Sched maps, and Snapshot and Total read under it, so a live
+// HTTP endpoint can snapshot profiles mid-run.
 package prof
 
 import (
+	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/simtime"
 	"repro/internal/trace"
@@ -85,18 +92,30 @@ type sampleKey struct {
 	aux  int32
 }
 
+// cell is one site's Work and Waste ticks, indexed by Dim. Only the running
+// VM thread writes a cell; the atomics let a snapshot read it mid-run.
+type cell [Waste + 1]atomic.Int64
+
 // Profiler accumulates tick attributions for one VM instance. Safe for
-// concurrent use: the VM threads mutate it under mu, and Snapshot may be
-// called from any goroutine (e.g. the live HTTP endpoint) while the VM
-// runs.
+// concurrent use: Snapshot and Total may be called from any goroutine
+// (e.g. the live HTTP endpoint) while the VM runs.
+//
+// The VM side is the only writer of nodes, funcNames and the cell tables,
+// and it writes their headers under mu. It reads them without mu: the
+// scheduler runs one VM thread at a time, and its coroutine hand-off
+// orders each read after the writes. Every other goroutine reads them
+// under mu.
 type Profiler struct {
 	mu        sync.Mutex
 	funcIDs   map[string]int32
 	funcNames []string // funcNames[id-1]
 	nodes     []node   // nodes[id-1]
 	nodeIDs   map[node]int32
-	counts    [NumDims]map[sampleKey]int64
-	totals    [NumDims]int64
+	// cells[id-1] holds node id's Work and Waste cells, indexed by pc.
+	cells [][]cell
+	// keyed holds the Block and Sched cells (nil for Work and Waste),
+	// written under mu once per park and once per dispatch.
+	keyed [NumDims]map[sampleKey]int64
 
 	// threads resolves the event stream's thread names to their handles.
 	// Only the VM goroutine registers and reads it, so it takes no lock.
@@ -116,9 +135,8 @@ func New() *Profiler {
 		nodeIDs: make(map[node]int32),
 		threads: make(map[string]*ThreadProf),
 	}
-	for d := range p.counts {
-		p.counts[d] = make(map[sampleKey]int64)
-	}
+	p.keyed[Block] = make(map[sampleKey]int64)
+	p.keyed[Sched] = make(map[sampleKey]int64)
 	return p
 }
 
@@ -140,15 +158,49 @@ func (p *Profiler) internNode(n node) int32 {
 		return id
 	}
 	p.nodes = append(p.nodes, n)
+	p.cells = append(p.cells, nil)
 	id := int32(len(p.nodes))
 	p.nodeIDs[n] = id
 	return id
 }
 
-// add accumulates d ticks into one cell. Caller holds mu.
-func (p *Profiler) add(dim Dim, key sampleKey, d int64) {
-	p.counts[dim][key] += d
-	p.totals[dim] += d
+// grow widens node n's cell table to cover pc and returns it. Only the VM
+// side calls it. A journal entry names its cell by (node, pc), never by
+// pointer, so nothing still points into the old table.
+func (p *Profiler) grow(n int32, pc int) []cell {
+	if pc < 0 {
+		panic(fmt.Sprintf("prof: negative pc %d in the site register", pc))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	old := p.cells[n-1]
+	tab := make([]cell, max(pc+1, 2*len(old)))
+	for i := range old {
+		for d := range old[i] {
+			tab[i][d].Store(old[i][d].Load())
+		}
+	}
+	p.cells[n-1] = tab
+	return tab
+}
+
+// forEach calls f with every nonzero cell of dim. Caller holds mu.
+func (p *Profiler) forEach(dim Dim, f func(key sampleKey, v int64)) {
+	if dim == Work || dim == Waste {
+		for i, tab := range p.cells {
+			for pc := range tab {
+				if v := tab[pc][dim].Load(); v != 0 {
+					f(sampleKey{node: int32(i + 1), pc: int32(pc)}, v)
+				}
+			}
+		}
+		return
+	}
+	for key, v := range p.keyed[dim] {
+		if v != 0 {
+			f(key, v)
+		}
+	}
 }
 
 // schedTick attributes scheduler-level ticks — context-switch cost or a
@@ -160,7 +212,7 @@ func (p *Profiler) schedTick(label string, d int64) {
 	}
 	p.mu.Lock()
 	n := p.internNode(node{fn: p.internFunc("<" + label + ">")})
-	p.add(Sched, sampleKey{node: n}, d)
+	p.keyed[Sched][sampleKey{node: n}] += d
 	p.mu.Unlock()
 }
 
@@ -215,11 +267,13 @@ func (p *Profiler) Emit(ev trace.Event) {
 	}
 }
 
-// Total returns one dimension's accumulated ticks.
+// Total returns one dimension's accumulated ticks, summed from its cells.
 func (p *Profiler) Total(dim Dim) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.totals[dim]
+	var t int64
+	p.forEach(dim, func(_ sampleKey, v int64) { t += v })
+	return t
 }
 
 // ---------------------------------------------------------------------------
@@ -228,8 +282,8 @@ func (p *Profiler) Total(dim Dim) int64 {
 // journalEntry records one Work attribution made inside a synchronized
 // section, so a later rollback can reclassify it as Waste.
 type journalEntry struct {
-	key   sampleKey
-	ticks int64
+	node, pc int32
+	ticks    int64
 }
 
 // sectionMark is the journal length when one section frame was entered,
@@ -241,8 +295,7 @@ type sectionMark struct {
 
 // ThreadProf is one thread's attribution handle. The call stack, journal
 // and parked interval are owned by the VM thread (the scheduler serializes
-// all thread execution), so only the shared accumulation tables take the
-// profiler lock.
+// all thread execution), so they take no lock.
 type ThreadProf struct {
 	p     *Profiler
 	name  string
@@ -287,11 +340,6 @@ func (p *Profiler) SetSampler(s func(thread string, end, d simtime.Ticks, fn str
 
 func (tp *ThreadProf) top() int32 { return tp.stack[len(tp.stack)-1] }
 
-// site keys the thread's current site: its innermost call node and pc.
-func (tp *ThreadProf) site() sampleKey {
-	return sampleKey{node: tp.top(), pc: int32(*tp.pc)}
-}
-
 // Depth returns the number of pushed method frames (the thread root does
 // not count).
 func (tp *ThreadProf) Depth() int { return len(tp.stack) - 1 }
@@ -325,20 +373,22 @@ func (tp *ThreadProf) Tick(end, d simtime.Ticks) {
 	if d <= 0 {
 		return
 	}
-	key := tp.site()
 	p := tp.p
-	var leaf string
-	p.mu.Lock()
-	p.add(Work, key, int64(d))
-	if p.sampler != nil && len(tp.stack) > 1 {
-		leaf = p.funcNames[p.nodes[key.node-1].fn-1]
+	n, pc := tp.top(), *tp.pc
+	tab := p.cells[n-1]
+	if uint(pc) >= uint(len(tab)) {
+		tab = p.grow(n, pc)
 	}
-	p.mu.Unlock()
+	tab[pc][Work].Add(int64(d))
 	if p.sampler != nil {
-		p.sampler(tp.name, end, d, leaf, int(key.pc))
+		var leaf string
+		if len(tp.stack) > 1 {
+			leaf = p.funcNames[p.nodes[n-1].fn-1]
+		}
+		p.sampler(tp.name, end, d, leaf, pc)
 	}
 	if len(tp.marks) > 0 {
-		tp.journal = append(tp.journal, journalEntry{key: key, ticks: int64(d)})
+		tp.journal = append(tp.journal, journalEntry{node: n, pc: int32(pc), ticks: int64(d)})
 	}
 }
 
@@ -360,9 +410,8 @@ func (tp *ThreadProf) unpark(at simtime.Ticks) {
 	}
 	p := tp.p
 	p.mu.Lock()
-	key := tp.site()
-	key.aux = p.internFunc("monitor:" + tp.parkMon)
-	p.add(Block, key, d)
+	key := sampleKey{node: tp.top(), pc: int32(*tp.pc), aux: p.internFunc("monitor:" + tp.parkMon)}
+	p.keyed[Block][key] += d
 	p.mu.Unlock()
 }
 
@@ -388,16 +437,12 @@ func (tp *ThreadProf) sectionCommit() {
 // measures, so the Waste dimension reconciles tick-for-tick.
 func (tp *ThreadProf) sectionRollback(idx int) {
 	m := tp.marks[idx].journal
-	p := tp.p
-	p.mu.Lock()
+	cells := tp.p.cells
 	for _, e := range tp.journal[m:] {
-		p.add(Work, e.key, -e.ticks)
-		if p.counts[Work][e.key] == 0 {
-			delete(p.counts[Work], e.key)
-		}
-		p.add(Waste, e.key, e.ticks)
+		c := &cells[e.node-1][e.pc]
+		c[Work].Add(-e.ticks)
+		c[Waste].Add(e.ticks)
 	}
-	p.mu.Unlock()
 	tp.journal = tp.journal[:m]
 	tp.marks = tp.marks[:idx]
 }
@@ -436,20 +481,19 @@ type Snapshot struct {
 	Totals [NumDims]int64
 }
 
-// Snapshot resolves every cell into stacks under the lock and returns a
-// deterministic (value-descending, then stack-ordered) copy.
+// Snapshot resolves every nonzero cell into stacks under the lock and
+// returns a deterministic (value-descending, then stack-ordered) copy whose
+// totals are the sums of its samples.
 func (p *Profiler) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := &Snapshot{Totals: p.totals}
+	s := &Snapshot{}
 	for d := Dim(0); d < NumDims; d++ {
-		samples := make([]Sample, 0, len(p.counts[d]))
-		for key, v := range p.counts[d] {
-			if v == 0 {
-				continue
-			}
+		var samples []Sample
+		p.forEach(d, func(key sampleKey, v int64) {
 			samples = append(samples, Sample{Stack: p.resolveStack(key), Value: v})
-		}
+			s.Totals[d] += v
+		})
 		sort.Slice(samples, func(i, j int) bool {
 			if samples[i].Value != samples[j].Value {
 				return samples[i].Value > samples[j].Value
